@@ -17,7 +17,7 @@ from .harness import (ExperimentConfig, TrialLedger, load_experiment_config,
 from .intervals import (Method, RateInterval, bernstein_fast_interval,
                         bernstein_tail, build_interval, exact_interval,
                         hoeffding_interval, hoeffding_tail, normal_interval)
-from .sysmodel import (ConvergenceError, PlantModel, Trajectory, critical_rate,
+from .sysmodel import (PlantModel, Trajectory, critical_rate,
                        kronecker_stable, load_plant, lyapunov_cost, save_plant,
                        simulate, spectral_radius, stability_threshold)
 from .verify import Decision, Verdict, cost_test, general_test, stability_test
@@ -29,7 +29,7 @@ __all__ = [
     "Method", "RateInterval", "hoeffding_tail", "bernstein_tail",
     "hoeffding_interval", "bernstein_fast_interval", "exact_interval",
     "normal_interval", "build_interval",
-    "PlantModel", "Trajectory", "ConvergenceError", "spectral_radius",
+    "PlantModel", "Trajectory", "spectral_radius",
     "stability_threshold", "kronecker_stable", "lyapunov_cost",
     "critical_rate", "simulate", "load_plant", "save_plant",
     "Decision", "Verdict", "stability_test", "cost_test", "general_test",

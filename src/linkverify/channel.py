@@ -30,11 +30,13 @@ class ChannelTrace:
     true_rate: float | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.outcomes, dtype=np.uint8)
+        # Validate before the uint8 cast, which would truncate 0.5 to 0.
+        arr = np.asarray(self.outcomes)
         if arr.ndim != 1:
             raise ValueError("outcomes must be a one-dimensional sequence")
         if arr.size and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("outcomes must contain only 0 and 1")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
         if not 0 <= int(self.seed) < _SEED_MAX:

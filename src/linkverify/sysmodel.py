@@ -3,9 +3,11 @@
 The simple model resets the state on every delivered packet (closed
 loop identically zero) and runs the open-loop matrix A on drops. Its
 mean-square stability boundary is the critical success rate
-1 - 1/rho(A)^2, and the steady quadratic cost solves the fixed point
-P = Q + (1-q) A' P A with J(q) = Tr(P W), a strictly decreasing
-function of q on the stable range.
+1 - 1/rho(A)^2. The steady quadratic cost J(q) = Tr(P W), strictly
+decreasing in q on the stable range, takes P from the Stein equation
+P = Q + (1-q) A' P A, solved by Smith's squaring iteration (Smith 1968,
+SIAM J. Appl. Math. 16:198-201) in log(1/margin) steps. Its simulation
+advances all drop runs of a trace in lockstep between resets.
 
 The general model with a nonzero closed loop is handled through the
 spectral radius of q*Ac(x)Ac + (1-q)*Ao(x)Ao, where (x) is the
@@ -25,11 +27,9 @@ from .channel import ChannelTrace
 _SYM_TOL = 1e-12
 _MARGINAL_BAND = 1e-12
 _KRON_DIM_CAP = 32
-_LYAP_MAX_ITER = 10**6
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration hit its cap (near-marginal stability)."""
+# Squarings sum 2^k terms of the series; the guard band keeps the decay
+# rate at most 1 - 1e-12, whose terms fall below 1e-17 before 2^46.
+_SMITH_SQUARINGS = 64
 
 
 def _as_square(m, name: str) -> np.ndarray:
@@ -151,8 +151,10 @@ def lyapunov_cost(plant: PlantModel, q: float) -> float:
     """Long-run average quadratic cost J(q) = Tr(P W) for the simple model.
 
     Returns inf when (1-q) rho(A)^2 reaches 1 (within the guard band).
-    The fixed point P = Q + (1-q) A' P A is iterated from P = Q; the
-    contraction factor (1-q) rho(A)^2 makes convergence geometric.
+    Otherwise Smith's squaring iteration (Smith 1968) sums the series
+    P = sum_i (1-q)^i (A^i)' Q A^i: from P = Q and M = sqrt(1-q) A, each
+    step P <- P + M' P M, M <- M M doubles the terms summed, until the
+    added term falls below 1e-17 of P.
     """
     _require_simple(plant, "lyapunov_cost")
     if not 0.0 <= q <= 1.0:
@@ -160,29 +162,14 @@ def lyapunov_cost(plant: PlantModel, q: float) -> float:
     rho = spectral_radius(plant.a_open)
     if (1.0 - q) * rho * rho >= 1.0 - _MARGINAL_BAND:
         return math.inf
-    a, q_w = plant.a_open, plant.q_weight
-    p = q_w.copy()
-    for _ in range(_LYAP_MAX_ITER):
-        p_next = q_w + (1.0 - q) * (a.T @ p @ a)
-        if float(np.abs(p_next - p).max()) <= 1e-12 * float(np.abs(p).max()):
-            return float(np.trace(p_next @ plant.w_cov))
-        p = p_next
-    raise ConvergenceError(
-        f"Lyapunov iteration did not converge at q={q}; "
-        "the configuration is nearly marginal")
-
-
-def _cost_via_linear_solve(plant: PlantModel, q: float) -> float:
-    """Cost from the vectorized linear form of the fixed point.
-
-    Exact up to conditioning, so it stays usable where the fixed-point
-    contraction is too slow (rates within ~1e-5 of the threshold).
-    """
-    n = plant.dim
-    a_t = plant.a_open.T
-    system = np.eye(n * n) - (1.0 - q) * np.kron(a_t, a_t)
-    vec_p = np.linalg.solve(system, plant.q_weight.flatten(order="F"))
-    p = vec_p.reshape((n, n), order="F")
+    m = math.sqrt(1.0 - q) * plant.a_open
+    p = plant.q_weight
+    for _ in range(_SMITH_SQUARINGS):
+        added = m.T @ p @ m
+        p = p + added
+        if float(np.abs(added).max()) <= 1e-17 * float(np.abs(p).max()):
+            break
+        m = m @ m
     return float(np.trace(p @ plant.w_cov))
 
 
@@ -203,20 +190,13 @@ def critical_rate(plant: PlantModel, j_req: float) -> float | None:
         return None
     if j_perfect == j_req:
         return 1.0
-
-    def cost(q: float) -> float:
-        try:
-            return lyapunov_cost(plant, q)
-        except ConvergenceError:
-            return _cost_via_linear_solve(plant, q)
-
     lo = max(stability_threshold(plant) + 1e-9, 0.0)
-    if lo == 0.0 and cost(0.0) <= j_req:
+    if lo == 0.0 and lyapunov_cost(plant, 0.0) <= j_req:
         return 0.0
     hi = 1.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if cost(mid) <= j_req:
+        if lyapunov_cost(plant, mid) <= j_req:
             hi = mid
         else:
             lo = mid
@@ -230,6 +210,10 @@ def simulate(plant: PlantModel, trace: ChannelTrace, seed: int) -> Trajectory:
     Philox stream keyed by ``seed`` (independent of the trace stream).
     The running cost averages x_k' Q x_k over the stored states
     x_0 .. x_{N-1}.
+
+    Simple model: each delivery at step k resets the state, x_{k+1} = w_k,
+    and the drop runs after x_0 and the resets advance in lockstep, one
+    run offset per numpy step; general plants step one outcome at a time.
     """
     n_steps = len(trace)
     if n_steps < 1:
@@ -240,13 +224,25 @@ def simulate(plant: PlantModel, trace: ChannelTrace, seed: int) -> Trajectory:
     noise = rng.standard_normal((n_steps, dim)) @ chol.T
 
     states = np.zeros((n_steps, dim))
-    a_c, a_o = plant.a_closed, plant.a_open
-    x = np.zeros(dim)
     delivered = trace.outcomes
-    for k in range(n_steps):
-        states[k] = x
-        gain = a_c if delivered[k] else a_o
-        x = gain @ x + noise[k]
+    if plant.is_simple:
+        np.copyto(states[1:], noise[:-1], where=delivered[:-1, None].view(bool))
+        # dropped[k]: row k+1 follows from row k by A (x_N is not stored);
+        # a run starts at a drop that follows x_0 or a reset.
+        dropped = delivered == 0
+        dropped[-1] = False
+        run = np.flatnonzero(dropped & np.diff(dropped, prepend=False))
+        while run.size:
+            nxt = run + 1
+            states[nxt] = states[run] @ plant.a_open.T + noise[run]
+            run = nxt[dropped[nxt]]
+    else:
+        a_c, a_o = plant.a_closed, plant.a_open
+        x = np.zeros(dim)
+        for k in range(n_steps):
+            states[k] = x
+            gain = a_c if delivered[k] else a_o
+            x = gain @ x + noise[k]
 
     per_step = np.einsum("ki,ij,kj->k", states, plant.q_weight, states)
     return Trajectory(states=states, running_cost=float(per_step.mean()),

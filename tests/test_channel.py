@@ -89,8 +89,24 @@ def test_draw_trace_rejects_bad_inputs():
 
 
 def test_trace_rejects_non_binary():
-    with pytest.raises(ValueError):
-        ChannelTrace(np.array([0, 1, 2]))
+    # Checked before the uint8 cast, which would truncate or overflow.
+    for outcomes in (np.array([0, 1, 2]), [0.5, 1.0], [257, 1], [-1, 1],
+                     [math.nan]):
+        with pytest.raises(ValueError):
+            ChannelTrace(outcomes)
+
+
+@pytest.mark.parametrize("outcomes", [[True, False, True], [1, 0, 1],
+                                      np.array([1.0, 0.0, 1.0])])
+def test_trace_accepts_binary_input(outcomes):
+    trace = ChannelTrace(outcomes)
+    assert trace.outcomes.dtype == np.uint8
+    assert trace.outcomes.tolist() == [1, 0, 1]
+
+
+def test_uint8_outcomes_are_not_copied():
+    outcomes = np.array([1, 0, 1], dtype=np.uint8)
+    assert ChannelTrace(outcomes).outcomes is outcomes
 
 
 def test_outcomes_are_immutable():

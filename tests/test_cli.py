@@ -155,3 +155,35 @@ def test_input_errors_exit_1(plant_file, capsys):
     code, _, err = run_cli(capsys, "verify-stability", "--plant", plant_file,
                            "--trace", "gen:0.5,10")
     assert code == 1
+
+
+def test_usage_errors_exit_1(plant_file, capsys):
+    # argparse's own code 2 would read as an Undetermined verdict.
+    for argv in (["verify-stability", "--plant", plant_file],
+                 ["verify-stability", "--plant", plant_file,
+                  "--trace", "gen:0.9,100,1", "--method", "bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_near_threshold_cost_verdict(plant_file, capsys):
+    # The Hoeffding lower end lands 5e-7 above the threshold 0.75.
+    code, out, _ = run_cli(capsys, "verify-cost", "--plant", plant_file,
+                           "--trace", "gen:0.8,2000,7",
+                           "--delta", "2.8483405369620566e-06", "--jreq", "3.0")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["decision"] == "Undetermined"
+    assert doc["lo"] == pytest.approx(0.7500005, abs=1e-12)
+
+
+def test_simulate_near_threshold(plant_file, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--plant", plant_file,
+                           "--q", "0.7500005", "--horizon", "1000", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["predicted_cost"] == pytest.approx(5e5, rel=1e-6)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from linkverify import (ChannelTrace, PlantModel, critical_rate, draw_trace,
                         kronecker_stable, load_plant, lyapunov_cost, save_plant,
@@ -166,6 +167,30 @@ def test_lyapunov_strictly_decreasing():
         assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
+@pytest.mark.parametrize("margin", [1e-2, 1e-4, 1e-6, 5e-7])
+def test_lyapunov_near_threshold_closed_form(margin):
+    # rho = 2, Q = W = 1: J(q) = 1/(1 - 4(1-q)), finite down to the band.
+    q = 0.75 + margin
+    expected = 1.0 / (1.0 - 4.0 * (1.0 - q))
+    assert lyapunov_cost(PlantModel.simple([[2.0]]), q) == pytest.approx(
+        expected, rel=1e-9)
+
+
+def test_lyapunov_matches_scipy_stein_solver():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        plant = PlantModel.simple(rng.normal(size=(n, n)),
+                                  q_weight=np.diag(rng.uniform(0.5, 2.0, n)),
+                                  w_cov=np.diag(rng.uniform(0.5, 2.0, n)))
+        low = max(stability_threshold(plant), 0.0)
+        q = float(rng.uniform(low + 0.01 * (1.0 - low), 1.0))
+        p = scipy.linalg.solve_discrete_lyapunov(
+            math.sqrt(1.0 - q) * plant.a_open.T, plant.q_weight)
+        assert lyapunov_cost(plant, q) == pytest.approx(
+            float(np.trace(p @ plant.w_cov)), rel=1e-9)
+
+
 # Critical rate
 
 def test_critical_rate_scalar():
@@ -227,6 +252,46 @@ def test_simulate_matches_lyapunov():
     plant = PlantModel.simple([[2.0]])
     traj = simulate(plant, draw_trace(0.9, 300_000, 12), 34)
     assert traj.running_cost == pytest.approx(5.0 / 3.0, rel=0.05)
+
+
+def reference_simulate(plant, trace, seed):
+    """Per-step loop over the trace, the reference for the lockstep path."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    noise = (rng.standard_normal((len(trace), plant.dim))
+             @ np.linalg.cholesky(plant.w_cov).T)
+    states = np.zeros((len(trace), plant.dim))
+    x = np.zeros(plant.dim)
+    for k, delivered in enumerate(trace.outcomes):
+        states[k] = x
+        x = (plant.a_closed if delivered else plant.a_open) @ x + noise[k]
+    return states
+
+
+def test_simulate_scalar_bit_identical_to_loop():
+    plant = PlantModel.simple([[1.25]], q_weight=[[1.5]], w_cov=[[0.8]])
+    traces = [draw_trace(q, 1000, 41) for q in (0.0, 0.5, 0.95, 1.0)]
+    traces += [draw_trace(0.5, 1, 42), draw_trace(0.0, 1, 42),
+               ChannelTrace([1, 0, 0, 1, 1, 0, 1, 0, 0, 0])]  # ends in a drop run
+    for trace in traces:
+        got = simulate(plant, trace, 43)
+        ref = reference_simulate(plant, trace, 43)
+        assert np.array_equal(got.states, ref)
+        per_step = np.einsum("ki,ij,kj->k", ref, plant.q_weight, ref)
+        assert got.running_cost == float(per_step.mean())
+
+
+def test_simulate_multidim_matches_loop():
+    # Batched and per-row products may round differently in the last bits.
+    rng = np.random.default_rng(47)
+    for dim in (2, 3):
+        a = rng.normal(size=(dim, dim))
+        plant = PlantModel.simple(a / spectral_radius(a) * 1.1)
+        for q in (0.0, 0.5, 0.9):
+            trace = draw_trace(q, 3000, dim)
+            got = simulate(plant, trace, 53).states
+            ref = reference_simulate(plant, trace, 53)
+            err = np.abs(got - ref).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(ref).max(axis=1))
 
 
 def test_simulate_deterministic_and_consistent():
