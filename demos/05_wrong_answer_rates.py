@@ -15,7 +15,7 @@ automate: it may ask for more data, but it almost never misleads.
 import math
 
 from linkverify import (ExperimentConfig, Method, PlantModel,
-                        run_wrong_answer_experiment)
+                        run_stability_experiment)
 
 rho = 1.0 / math.sqrt(0.51)  # critical rate 1 - 1/rho^2 = 0.49
 cfg = ExperimentConfig(
@@ -26,7 +26,7 @@ cfg = ExperimentConfig(
     methods=(Method.HOEFFDING, Method.EXACT_BINOMIAL, Method.NORMAL_APPROX),
     seed=99,
 )
-ledger = run_wrong_answer_experiment(cfg)
+ledger = run_stability_experiment(cfg)  # the wrong rates are in its tally
 
 print(f"stability margin: |0.5 - 0.49| = 0.01, delta = {cfg.delta}, "
       f"{cfg.trials} trials")

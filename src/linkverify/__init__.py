@@ -12,11 +12,10 @@ from .complexity import (MarginSpec, bernstein_sample_size, correctness_bound,
                          hoeffding_sample_size, low_variance_regime)
 from .harness import (ExperimentConfig, TrialLedger, load_experiment_config,
                       run_cost_experiment, run_stability_experiment,
-                      run_wrong_answer_experiment, sweep_sample_complexity,
-                      write_complexity_csv, write_ledger_csvs)
-from .intervals import (Method, RateInterval, bernstein_fast_interval,
-                        bernstein_tail, build_interval, exact_interval,
-                        hoeffding_interval, hoeffding_tail, normal_interval)
+                      sweep_sample_complexity, write_complexity_csv,
+                      write_ledger_csvs)
+from .intervals import (Method, RateInterval, bernstein_tail, build_interval,
+                        hoeffding_tail)
 from .sysmodel import (PlantModel, Trajectory, critical_rate,
                        kronecker_stable, load_plant, lyapunov_cost, save_plant,
                        simulate, spectral_radius, stability_threshold)
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelTrace", "draw_trace", "sample_mean", "save_trace", "load_trace",
     "Method", "RateInterval", "hoeffding_tail", "bernstein_tail",
-    "hoeffding_interval", "bernstein_fast_interval", "exact_interval",
-    "normal_interval", "build_interval",
+    "build_interval",
     "PlantModel", "Trajectory", "spectral_radius",
     "stability_threshold", "kronecker_stable", "lyapunov_cost",
     "critical_rate", "simulate", "load_plant", "save_plant",
@@ -36,7 +34,7 @@ __all__ = [
     "MarginSpec", "correctness_bound", "hoeffding_sample_size",
     "bernstein_sample_size", "low_variance_regime",
     "ExperimentConfig", "TrialLedger", "run_stability_experiment",
-    "run_wrong_answer_experiment", "run_cost_experiment",
+    "run_cost_experiment",
     "sweep_sample_complexity", "write_ledger_csvs", "write_complexity_csv",
     "load_experiment_config",
     "__version__",

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .channel import draw_trace, load_trace
 from .complexity import MarginSpec, bernstein_sample_size, hoeffding_sample_size
-from .harness import (load_experiment_config, run_cost_experiment,
-                      run_stability_experiment, sweep_sample_complexity,
-                      write_complexity_csv, write_ledger_csvs)
+from .harness import (load_experiment_config, load_sweep_config,
+                      run_cost_experiment, run_stability_experiment,
+                      sweep_sample_complexity, write_complexity_csv,
+                      write_ledger_csvs)
 from .intervals import Method
 from .sysmodel import critical_rate, load_plant, lyapunov_cost, simulate
 from .verify import Decision, cost_test, general_test, stability_test
@@ -43,8 +45,15 @@ def _parse_trace(spec: str):
     return load_trace(spec)
 
 
+def _print_json(doc: dict) -> None:
+    """One JSON line; non-finite floats, which JSON cannot express, print as null."""
+    finite = {key: None if isinstance(value, float) and not math.isfinite(value)
+              else value for key, value in doc.items()}
+    print(json.dumps(finite, allow_nan=False))
+
+
 def _emit_verdict(verdict) -> int:
-    print(json.dumps(verdict.to_dict()))
+    _print_json(verdict.to_dict())
     return 0 if verdict.decision is not Decision.UNDETERMINED else 2
 
 
@@ -55,8 +64,7 @@ def _cmd_verify_stability(args) -> int:
     if plant.is_simple:
         verdict = stability_test(plant, trace, args.delta, method)
     else:
-        verdict = general_test(plant, trace, args.delta, method,
-                               grid_step=args.grid_step)
+        verdict = general_test(plant, trace, args.delta, method)
     return _emit_verdict(verdict)
 
 
@@ -107,28 +115,19 @@ def _cmd_simulate(args) -> int:
     trace = draw_trace(args.q, args.horizon, args.seed)
     trajectory = simulate(plant, trace, args.seed ^ _NOISE_SALT)
     predicted = lyapunov_cost(plant, args.q) if plant.is_simple else None
-    print(json.dumps({
+    _print_json({
         "horizon": trajectory.horizon,
         "q": args.q,
         "running_cost": trajectory.running_cost,
         "predicted_cost": predicted,
-    }))
+    })
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    allowed = {"grid", "q", "rho", "delta", "out"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    if "grid" not in doc:
-        raise ValueError("sweep config must provide a 'grid' list")
-    rows = sweep_sample_complexity(
-        args.axis, doc["grid"], q=float(doc.get("q", 0.9)),
-        rho=float(doc.get("rho", 2.0)), delta=float(doc.get("delta", 0.01)))
-    out_dir = doc.get("out", ".")
+    doc = load_sweep_config(args.config)
+    out_dir = doc.pop("out", ".")
+    rows = sweep_sample_complexity(args.axis, doc.pop("grid"), **doc)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "complexity.csv")
     write_complexity_csv(rows, path)
@@ -162,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-stability", help="decide mean-square stability")
     add_verify_args(p)
-    p.add_argument("--grid-step", type=float, default=1e-4,
-                   help="grid spacing for general (nonzero closed-loop) plants")
     p.set_defaults(func=_cmd_verify_stability)
 
     p = sub.add_parser("verify-cost", help="decide a quadratic cost target")

@@ -2,15 +2,19 @@
 
 An experiment repeats the same question over many independently drawn
 channel traces and tallies how often each interval method answers
-correctly, wrongly, or not at all, across a grid of sample sizes. One
-trace is drawn per trial at the largest grid size and every smaller
-size is evaluated on its prefix, so a trial traces the same path a
-practitioner would see while collecting data.
+correctly, wrongly, or not at all, across a grid of sample sizes. Each
+trial draws one trace at the largest size and evaluates every smaller
+size on its prefix, the path a practitioner sees while collecting data.
 
-Verdicts depend on a trace only through (success count, length), so the
-engine tallies over distinct counts rather than re-deriving intervals
-per trial; this keeps ten-thousand-trial runs with exact binomial
-intervals fast.
+A verdict depends on a trace only through its success count k and
+length n, and is monotone in k. Every method's clipped interval ends
+are non-decreasing in k (the Wald lower end dips below 0 near k = 0,
+but it is convex, so once clipped at 0 it never decreases), and both
+decisions compare them with a fixed threshold or the strictly
+decreasing cost J. So for each (method, n) Deny holds exactly below one
+cutoff and Affirm exactly from a second one up: the engine finds both
+by binary search over the observed counts and tallies a cell with two
+comparisons, keeping 10k-trial runs with exact intervals fast.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,40 +73,23 @@ class ExperimentConfig:
             raise ValueError("j_req must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
-    affirm: int = 0
-    deny: int = 0
-    undetermined: int = 0
-    correct: int = 0
-    wrong: int = 0
+    affirm: int
+    deny: int
+    undetermined: int
+    correct: int
+    wrong: int
 
 
+@dataclass
 class TrialLedger:
     """Per (method, n) tallies plus the matching theoretical bound."""
 
-    def __init__(self, config: ExperimentConfig, truth: Decision,
-                 bound: dict[int, float], extras: dict | None = None):
-        self.config = config
-        self.truth = truth
-        self.bound = bound
-        self.extras = extras or {}
-        self.cells: dict[tuple[str, int], Cell] = {
-            (m.value, n): Cell() for m in config.methods for n in config.n_grid
-        }
-
-    def add(self, method: Method, n: int, decision: Decision, count: int) -> None:
-        cell = self.cells[(method.value, n)]
-        if decision is Decision.AFFIRM:
-            cell.affirm += count
-        elif decision is Decision.DENY:
-            cell.deny += count
-        else:
-            cell.undetermined += count
-        if decision is self.truth:
-            cell.correct += count
-        elif decision is not Decision.UNDETERMINED:
-            cell.wrong += count
+    config: ExperimentConfig
+    cells: dict[tuple[str, int], Cell]
+    bound: dict[int, float]
+    extras: dict = field(default_factory=dict)
 
     def cell(self, method: Method, n: int) -> Cell:
         return self.cells[(method.value, n)]
@@ -117,12 +104,8 @@ class TrialLedger:
         return self.cell(method, n).affirm / self.config.trials
 
     def rows(self, statistic: str) -> list[tuple[str, int, float]]:
-        getter = {"correct": self.correct_rate, "wrong": self.wrong_rate,
-                  "affirm": self.affirm_rate}[statistic]
-        out = []
-        for method_value, n in sorted(self.cells):
-            out.append((method_value, n, getter(Method.parse(method_value), n)))
-        return out
+        return [(method_value, n, getattr(cell, statistic) / self.config.trials)
+                for (method_value, n), cell in sorted(self.cells.items())]
 
 
 def _success_counts(cfg: ExperimentConfig) -> np.ndarray:
@@ -141,17 +124,33 @@ def _success_counts(cfg: ExperimentConfig) -> np.ndarray:
     return counts
 
 
-def _tally(cfg: ExperimentConfig, truth: Decision, decide,
-           bound: dict[int, float], extras: dict | None = None) -> TrialLedger:
+def _first(holds, lo: int, hi: int) -> int:
+    """Smallest k in [lo, hi) where the monotone predicate holds, else hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _tally(cfg: ExperimentConfig, truth: Decision,
+           decide) -> dict[tuple[str, int], Cell]:
     counts = _success_counts(cfg)
-    ledger = TrialLedger(cfg, truth, bound, extras)
+    cells = {}
     for method in cfg.methods:
-        for col, n in enumerate(cfg.n_grid):
-            uniq, reps = np.unique(counts[:, col], return_counts=True)
-            for k, rep in zip(uniq, reps):
-                interval = interval_from_counts(method, int(k), n, cfg.delta)
-                ledger.add(method, n, decide(interval), int(rep))
-    return ledger
+        for col, n in zip(counts.T, cfg.n_grid):
+            decision = lambda k: decide(interval_from_counts(method, k, n, cfg.delta))
+            k_min, k_end = int(col.min()), int(col.max()) + 1
+            k_affirm = _first(lambda k: decision(k) is Decision.AFFIRM, k_min, k_end)
+            k_deny = _first(lambda k: decision(k) is not Decision.DENY, k_min, k_affirm)
+            affirm, deny = int((col >= k_affirm).sum()), int((col < k_deny).sum())
+            correct, wrong = ((affirm, deny) if truth is Decision.AFFIRM
+                              else (deny, affirm))
+            cells[(method.value, n)] = Cell(affirm, deny, cfg.trials - affirm - deny,
+                                            correct, wrong)
+    return cells
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> TrialLedger:
@@ -168,12 +167,8 @@ def run_stability_experiment(cfg: ExperimentConfig) -> TrialLedger:
         # Nilpotent open loop: the test affirms unconditionally and is
         # always correct, so the bound is exactly one.
         bound = {n: 1.0 for n in cfg.n_grid}
-    return _tally(cfg, truth, lambda iv: decide_stability(threshold, iv), bound)
-
-
-def run_wrong_answer_experiment(cfg: ExperimentConfig) -> TrialLedger:
-    """Same tallies as the stability experiment; read the wrong rates."""
-    return run_stability_experiment(cfg)
+    cells = _tally(cfg, truth, lambda iv: decide_stability(threshold, iv))
+    return TrialLedger(cfg, cells, bound)
 
 
 def run_cost_experiment(cfg: ExperimentConfig) -> TrialLedger:
@@ -196,31 +191,25 @@ def run_cost_experiment(cfg: ExperimentConfig) -> TrialLedger:
     bound = {n: correctness_bound(spec, n) for n in cfg.n_grid}
     extras = {"critical_rate": q_star,
               "thm_sample_size": hoeffding_sample_size(spec)}
-    plant, j_req = cfg.plant, cfg.j_req
-    return _tally(cfg, truth, lambda iv: decide_cost(plant, j_req, iv),
-                  bound, extras)
-
-
-_AXIS_ALIASES = {"spectral_radius": "spectral_radius", "rho": "spectral_radius",
-                 "rate": "rate", "q": "rate"}
+    cells = _tally(cfg, truth, lambda iv: decide_cost(cfg.plant, cfg.j_req, iv))
+    return TrialLedger(cfg, cells, bound, extras)
 
 
 def sweep_sample_complexity(axis: str, grid, *, q: float = 0.9,
                             rho: float = 2.0,
                             delta: float = 0.01) -> list[tuple[float, int, int]]:
-    """Required sample counts along a spectral-radius or rate sweep.
+    """Required sample counts along a spectral-radius ("rho") or rate ("q") sweep.
 
     Returns (axis value, plain bound, variance-aware bound) rows. Grid
     points closer than 1e-6 to the critical configuration are rejected,
     since the counts diverge there.
     """
-    canonical = _AXIS_ALIASES.get(axis)
-    if canonical is None:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_ALIASES)}")
+    if axis not in ("rho", "q"):
+        raise ValueError(f"axis must be 'rho' or 'q', not {axis!r}")
     rows = []
     for x in grid:
         x = float(x)
-        if canonical == "spectral_radius":
+        if axis == "rho":
             if x <= 0.0:
                 raise ValueError("spectral radius grid values must be positive")
             spec_q, threshold = q, 1.0 - 1.0 / (x * x)
@@ -264,43 +253,53 @@ def write_complexity_csv(rows, path) -> None:
             fh.write(f"{_fmt(x)},{n_h},{n_b}\n")
 
 
-_CONFIG_KEYS = {"plant", "true_rate", "delta", "n_grid", "trials", "methods",
-                "seed", "j_req", "out"}
+def _read_config(path, fields: dict, required: tuple[str, ...]) -> dict:
+    """A JSON-object config, each non-null value converted by ``fields[key]``;
+    unknown or missing keys and rejected values raise ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for key, value in doc.items():
+        if value is None:
+            continue
+        try:
+            values[key] = fields[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ValueError(f"config missing required keys {missing}")
+    return values
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read an experiment config (JSON); unknown keys are rejected.
+    """Read an experiment config (JSON); absent keys take the defaults.
 
     ``plant`` is either a path to a plant file (resolved relative to the
     config) or an inline plant object with the plant-file keys.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("experiment config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("plant", "true_rate"):
-        if key not in doc:
-            raise ValueError(f"experiment config missing required key {key!r}")
-    plant_ref = doc["plant"]
-    if isinstance(plant_ref, str):
-        plant_path = os.path.join(os.path.dirname(os.path.abspath(path)), plant_ref)
-        plant = load_plant(plant_path)
-    elif isinstance(plant_ref, dict):
-        plant = plant_from_dict(plant_ref)
-    else:
+    def plant(ref):
+        if isinstance(ref, str):
+            return load_plant(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
+        if isinstance(ref, dict):
+            return plant_from_dict(ref)
         raise ValueError("plant must be a file path or an inline object")
-    methods = tuple(Method.parse(m) for m in doc.get("methods", ["hoeffding"]))
-    return ExperimentConfig(
-        plant=plant,
-        true_rate=float(doc["true_rate"]),
-        delta=float(doc.get("delta", DEFAULT_DELTA)),
-        n_grid=tuple(doc.get("n_grid", DEFAULT_N_GRID)),
-        trials=int(doc.get("trials", DEFAULT_TRIALS)),
-        methods=methods,
-        seed=int(doc.get("seed", 0)),
-        j_req=None if doc.get("j_req") is None else float(doc["j_req"]),
-        out=doc.get("out"),
-    )
+
+    fields = {"plant": plant, "true_rate": float, "delta": float,
+              "n_grid": lambda grid: tuple(int(n) for n in grid), "trials": int,
+              "methods": lambda names: tuple(Method.parse(m) for m in names),
+              "seed": int, "j_req": float, "out": os.fspath}
+    return ExperimentConfig(**_read_config(path, fields, ("plant", "true_rate")))
+
+
+def load_sweep_config(path) -> dict:
+    """Read a sweep config (JSON): ``grid``, the optional keywords ``q``,
+    ``rho`` and ``delta`` of sweep_sample_complexity, and ``out``."""
+    fields = {"grid": lambda grid: [float(x) for x in grid], "q": float,
+              "rho": float, "delta": float, "out": os.fspath}
+    return _read_config(path, fields, ("grid",))

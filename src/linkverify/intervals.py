@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import ChannelTrace, sample_mean
+from .channel import ChannelTrace
 
 _BISECT_WIDTH = 1e-12  # comfortably inside the 1e-10 contract
 _NORMAL = NormalDist()
@@ -99,19 +99,13 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta={delta} outside (0, 1)")
 
 
-def _counts(trace: ChannelTrace) -> tuple[int, int]:
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    return trace.successes, len(trace)
-
-
 def interval_from_counts(method: Method, successes: int, n: int,
                          delta: float) -> RateInterval:
     """Build an interval directly from (success count, sample count).
 
-    This is the computational core of the trace-based constructors and
-    is what Monte Carlo drivers call, since a verdict depends on the
-    trace only through these sufficient statistics.
+    This is the computational core of ``build_interval`` and is what
+    Monte Carlo drivers call, since a verdict depends on the trace only
+    through these sufficient statistics.
     """
     _check_delta(delta)
     if n < 1:
@@ -144,29 +138,10 @@ def interval_from_counts(method: Method, successes: int, n: int,
 
 def build_interval(trace: ChannelTrace, delta: float,
                    method: Method) -> RateInterval:
-    """Dispatch on method; see the four named constructors."""
-    k, n = _counts(trace)
-    return interval_from_counts(method, k, n, delta)
-
-
-def hoeffding_interval(trace: ChannelTrace, delta: float) -> RateInterval:
-    k, n = _counts(trace)
-    return interval_from_counts(Method.HOEFFDING, k, n, delta)
-
-
-def bernstein_fast_interval(trace: ChannelTrace, delta: float) -> RateInterval:
-    k, n = _counts(trace)
-    return interval_from_counts(Method.BERNSTEIN_FAST, k, n, delta)
-
-
-def exact_interval(trace: ChannelTrace, delta: float) -> RateInterval:
-    k, n = _counts(trace)
-    return interval_from_counts(Method.EXACT_BINOMIAL, k, n, delta)
-
-
-def normal_interval(trace: ChannelTrace, delta: float) -> RateInterval:
-    k, n = _counts(trace)
-    return interval_from_counts(Method.NORMAL_APPROX, k, n, delta)
+    """Interval from a trace's (success count, length); see interval_from_counts."""
+    if len(trace) == 0:
+        raise ValueError("empty trace")
+    return interval_from_counts(method, trace.successes, len(trace), delta)
 
 
 # Binomial tail machinery for the exact method.

@@ -21,6 +21,8 @@ from .channel import ChannelTrace
 from .intervals import Method, RateInterval, build_interval
 from .sysmodel import PlantModel, kronecker_stable, lyapunov_cost, stability_threshold
 
+_GRID_STEP = 1e-4  # rate spacing of the general test's grid
+
 
 class Decision(enum.Enum):
     AFFIRM = "Affirm"
@@ -114,20 +116,18 @@ def cost_test(plant: PlantModel, trace: ChannelTrace, delta: float,
 
 
 def general_test(plant: PlantModel, trace: ChannelTrace, delta: float,
-                 method: Method = Method.HOEFFDING,
-                 grid_step: float = 1e-4) -> Verdict:
-    """Grid sweep of the Kronecker stability condition over the interval.
+                 method: Method = Method.HOEFFDING) -> Verdict:
+    """Grid sweep of the Kronecker stability condition over the interval,
+    at rates 1e-4 apart.
 
     The condition can be non-convex in the rate, so the answer is
     certified only at the grid points; every verdict carries the
     "grid-certified" flag to record that caveat.
     """
-    if not 0.0 < grid_step <= 1e-3:
-        raise ValueError("grid_step must be in (0, 1e-3]")
     interval = build_interval(trace, delta, method)
     span = interval.hi - interval.lo
     points = np.linspace(interval.lo, interval.hi,
-                         max(2, math.ceil(span / grid_step) + 1))
+                         max(2, math.ceil(span / _GRID_STEP) + 1))
     stable = [kronecker_stable(plant, float(q)) for q in points]
     if all(stable):
         decision = Decision.AFFIRM

@@ -187,3 +187,51 @@ def test_simulate_near_threshold(plant_file, capsys):
                            "--q", "0.7500005", "--horizon", "1000", "--seed", "3")
     assert code == 0
     assert json.loads(out)["predicted_cost"] == pytest.approx(5e5, rel=1e-6)
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("sweep", 5),
+    ("sweep", [{}]),
+    ("sweep", {"grid": 2.0}),
+    ("sweep", {"grid": [2.0], "out": 5}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": 5}),
+    ("experiment", {"plant": "plant.json", "true_rate": None}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": [[5]]}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "out": 5}),
+    ("experiment", {"true_rate": 0.9}),
+])
+def test_malformed_configs_exit_1(tmp_path, capsys, command, doc):
+    save_plant(SCALAR_2, tmp_path / "plant.json")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv = [command, "--axis", "rho", "--config", str(cfg_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_outputs_print_null(plant_file, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--plant", plant_file,
+                           "--q", "0.5", "--horizon", "2000", "--seed", "3")
+    assert code == 0
+    assert _strict_json(out)["predicted_cost"] is None
+    code, out, _ = run_cli(capsys, "simulate", "--plant", plant_file,
+                           "--q", "0", "--horizon", "2000", "--seed", "3")
+    assert code == 0
+    assert _strict_json(out)["running_cost"] is None
+    nilpotent = tmp_path / "nilpotent.json"
+    nilpotent.write_text(json.dumps({"n": 2, "a_open": [[0, 1], [0, 0]]}))
+    code, out, _ = run_cli(capsys, "verify-stability", "--plant", str(nilpotent),
+                           "--trace", "gen:0.5,100,1")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["threshold"] is None and doc["decision"] == "Affirm"

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from linkverify import (ExperimentConfig, Method, PlantModel,
+from linkverify import (Decision, ExperimentConfig, Method, PlantModel,
                         hoeffding_sample_size, load_experiment_config,
                         run_cost_experiment, run_stability_experiment,
-                        run_wrong_answer_experiment, save_plant,
-                        sweep_sample_complexity, write_complexity_csv,
-                        write_ledger_csvs)
+                        save_plant, sweep_sample_complexity,
+                        write_complexity_csv, write_ledger_csvs)
+from linkverify.harness import _success_counts
+from linkverify.intervals import interval_from_counts
+from linkverify.sysmodel import lyapunov_cost, stability_threshold
+from linkverify.verify import decide_cost, decide_stability
 
 SCALAR_2 = PlantModel.simple([[2.0]])
 THREE_METHODS = (Method.HOEFFDING, Method.EXACT_BINOMIAL, Method.NORMAL_APPROX)
@@ -76,12 +79,73 @@ def test_affirm_rate_nondecreasing_on_dyadic_grid():
         assert rate >= ledger.bound[n] - sigma
 
 
-def test_wrong_answer_experiment_delegates():
-    cfg = small_config()
-    a = run_stability_experiment(cfg)
-    b = run_wrong_answer_experiment(cfg)
-    for key in a.cells:
-        assert a.cells[key] == b.cells[key]
+CONTRACTIVE = PlantModel.simple([[0.5]])  # threshold -3
+NILPOTENT = PlantModel.simple([[0.0, 1.0], [0.0, 0.0]])  # threshold -inf
+LOW_THRESHOLD = PlantModel.simple([[1.0 / math.sqrt(0.95)]])  # threshold 0.05
+NEAR_CRITICAL = PlantModel.simple([[1.0 / math.sqrt(0.51)]])  # threshold 0.49
+
+
+def reference_cells(cfg):
+    """Per-trial tally: every trial's count is decided on its own."""
+    if cfg.j_req is None:
+        threshold = stability_threshold(cfg.plant)
+        truth = Decision.AFFIRM if cfg.true_rate > threshold else Decision.DENY
+        decide = lambda iv: decide_stability(threshold, iv)
+    else:
+        cost = lyapunov_cost(cfg.plant, cfg.true_rate)
+        truth = Decision.AFFIRM if cost <= cfg.j_req else Decision.DENY
+        decide = lambda iv: decide_cost(cfg.plant, cfg.j_req, iv)
+    wrong = Decision.DENY if truth is Decision.AFFIRM else Decision.AFFIRM
+    counts = _success_counts(cfg)
+    cells = {}
+    for method in cfg.methods:
+        for col, n in enumerate(cfg.n_grid):
+            memo = {}  # the same count always gets the same decision
+            tally = dict.fromkeys(Decision, 0)
+            for k in counts[:, col].tolist():
+                if k not in memo:
+                    memo[k] = decide(interval_from_counts(method, k, n, cfg.delta))
+                tally[memo[k]] += 1
+            cells[(method.value, n)] = (
+                tally[Decision.AFFIRM], tally[Decision.DENY],
+                tally[Decision.UNDETERMINED], tally[truth], tally[wrong])
+    return cells
+
+
+ALL_METHODS = tuple(Method)
+# The one-sided exact bounds cross once delta exceeds 0.5.
+CLOSED_FORM = (Method.HOEFFDING, Method.BERNSTEIN_FAST, Method.NORMAL_APPROX)
+
+
+@pytest.mark.parametrize("plant,true_rate,delta,n_grid,j_req,methods", [
+    (SCALAR_2, 0.9, 1e-3, (1, 2, 5, 10, 50, 200), None, ALL_METHODS),
+    (SCALAR_2, 0.0, 1e-3, (1, 10, 100), None, ALL_METHODS),
+    (SCALAR_2, 1.0, 1e-3, (1, 10, 100), None, ALL_METHODS),
+    (SCALAR_2, 0.7, 0.5, (1, 3, 20, 400), None, ALL_METHODS),  # Wald z = 0
+    (SCALAR_2, 0.7, 0.6, (1, 3, 20, 400), None, CLOSED_FORM),
+    (CONTRACTIVE, 0.3, 1e-3, (1, 10, 100), None, ALL_METHODS),
+    (NILPOTENT, 0.3, 1e-3, (1, 10, 100), None, ALL_METHODS),
+    (LOW_THRESHOLD, 0.1, 1e-3, (1, 5, 10, 20, 40), None, ALL_METHODS),  # Wald lo < 0
+    (NEAR_CRITICAL, 0.5, 1e-3, (10, 100, 1000, 2000), None, ALL_METHODS),
+    (SCALAR_2, 0.95, 0.01, (1, 10, 100, 1638), 2.0, ALL_METHODS),
+    (SCALAR_2, 0.0, 0.01, (1, 10, 100), 2.0, ALL_METHODS),
+    (SCALAR_2, 1.0, 0.01, (1, 10, 100), 2.0, ALL_METHODS),
+    (SCALAR_2, 0.85, 0.5, (1, 3, 20, 400), 2.0, ALL_METHODS),
+    (SCALAR_2, 0.85, 0.6, (1, 3, 20, 400), 2.0, CLOSED_FORM),
+    (CONTRACTIVE, 0.5, 1e-3, (1, 10, 100, 1000), 1.2, ALL_METHODS),  # q* = 1/3
+    (NILPOTENT, 0.7, 1e-3, (1, 10, 100, 1000), 2.5, ALL_METHODS),  # J = 3 - q
+])
+def test_cutoff_tally_matches_per_trial_reference(plant, true_rate, delta,
+                                                  n_grid, j_req, methods):
+    cfg = small_config(plant=plant, true_rate=true_rate, delta=delta,
+                       n_grid=n_grid, j_req=j_req, methods=methods)
+    run = run_stability_experiment if j_req is None else run_cost_experiment
+    ledger = run(cfg)
+    expected = reference_cells(cfg)
+    assert ledger.cells.keys() == expected.keys()
+    for key, cell in ledger.cells.items():
+        assert (cell.affirm, cell.deny, cell.undetermined, cell.correct,
+                cell.wrong) == expected[key], key
 
 
 def test_rejects_rate_on_threshold():
@@ -151,7 +215,6 @@ def test_csv_12_significant_digits(tmp_path):
 
 
 def test_seed_changes_the_sample_paths():
-    from linkverify.harness import _success_counts
     a = _success_counts(small_config(trials=300, n_grid=(50,)))
     b = _success_counts(small_config(trials=300, n_grid=(50,), seed=999))
     assert not np.array_equal(a, b)
@@ -168,15 +231,13 @@ def test_sweep_rows():
     assert by_x[0.99] == (160, 36)
 
 
-def test_sweep_axis_aliases_and_critical_guard():
-    canonical = sweep_sample_complexity("spectral_radius", [2.0])
-    alias = sweep_sample_complexity("rho", [2.0])
-    assert canonical == alias
+def test_sweep_axes_and_critical_guard():
     with pytest.raises(ValueError):
         # Threshold at rho=2 is exactly q=0.75.
         sweep_sample_complexity("q", [0.75 + 1e-9], rho=2.0)
-    with pytest.raises(ValueError):
-        sweep_sample_complexity("diagonal", [1.0])
+    for axis in ("diagonal", "spectral_radius", "rate"):
+        with pytest.raises(ValueError):
+            sweep_sample_complexity(axis, [1.0])
 
 
 def test_complexity_csv(tmp_path):
@@ -208,11 +269,13 @@ def test_config_file_inline_plant_and_defaults(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({
         "plant": {"n": 1, "a_open": [[2.0]]}, "true_rate": 0.5,
+        "delta": None, "j_req": None,  # null counts as absent
     }))
     cfg = load_experiment_config(cfg_path)
     assert cfg.delta == 1e-3
     assert cfg.trials == 1000
     assert cfg.n_grid[-1] == 2000
+    assert cfg.j_req is None
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

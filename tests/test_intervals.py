@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from linkverify import (ChannelTrace, Method, bernstein_fast_interval,
-                        bernstein_tail, exact_interval, hoeffding_interval,
-                        hoeffding_tail, normal_interval)
+from linkverify import (ChannelTrace, Method, bernstein_tail, build_interval,
+                        hoeffding_tail)
 from linkverify.intervals import binom_tail_upper, interval_from_counts
 
 
@@ -57,15 +56,15 @@ def test_tails_strictly_decreasing(tail):
 # Hoeffding interval
 
 def test_hoeffding_interval_frozen():
-    iv = hoeffding_interval(trace_of(1800, 2000), 1e-3)
+    iv = build_interval(trace_of(1800, 2000), 1e-3, Method.HOEFFDING)
     assert iv.lo == pytest.approx(0.9 - 0.0415564534067, abs=1e-10)
     assert iv.hi == pytest.approx(0.9 + 0.0415564534067, abs=1e-10)
-    iv = hoeffding_interval(trace_of(450, 500), 1e-3)
+    iv = build_interval(trace_of(450, 500), 1e-3, Method.HOEFFDING)
     assert iv.lo == pytest.approx(0.9 - 0.0831129068135, abs=1e-10)
 
 
 def test_hoeffding_interval_clips():
-    iv = hoeffding_interval(trace_of(50, 50), 0.01)
+    iv = build_interval(trace_of(50, 50), 0.01, Method.HOEFFDING)
     assert iv.hi == 1.0
     assert iv.lo < 1.0
 
@@ -73,28 +72,28 @@ def test_hoeffding_interval_clips():
 # Fast-shrinking interval
 
 def test_bernstein_fast_frozen():
-    iv = bernstein_fast_interval(trace_of(1800, 2000), 1e-3)
+    iv = build_interval(trace_of(1800, 2000), 1e-3, Method.BERNSTEIN_FAST)
     assert iv.lo == pytest.approx(0.9 - 0.00345387763949, abs=1e-10)
-    iv = bernstein_fast_interval(trace_of(90, 100), 0.01)
+    iv = build_interval(trace_of(90, 100), 0.01, Method.BERNSTEIN_FAST)
     assert iv.hi - iv.q_hat == pytest.approx(0.0460517018599, abs=1e-10)
 
 
 def test_bernstein_fast_full_clip():
     # Half-width log(1/delta)/N = 3/6 = 0.5 swallows the whole range.
-    iv = bernstein_fast_interval(trace_of(3, 6), math.exp(-3.0))
+    iv = build_interval(trace_of(3, 6), math.exp(-3.0), Method.BERNSTEIN_FAST)
     assert (iv.lo, iv.hi) == (0.0, 1.0)
 
 
 # Exact (binomial inversion) interval
 
 def test_exact_interval_boundary_counts():
-    iv = exact_interval(trace_of(10, 10), 0.05)
+    iv = build_interval(trace_of(10, 10), 0.05, Method.EXACT_BINOMIAL)
     assert iv.lo == pytest.approx(0.05 ** 0.1, abs=1e-8)
     assert iv.hi == 1.0
-    iv = exact_interval(trace_of(0, 10), 0.05)
+    iv = build_interval(trace_of(0, 10), 0.05, Method.EXACT_BINOMIAL)
     assert iv.lo == 0.0
     assert iv.hi == pytest.approx(1.0 - 0.05 ** 0.1, abs=1e-8)
-    iv = exact_interval(trace_of(1, 1), 0.5)
+    iv = build_interval(trace_of(1, 1), 0.5, Method.EXACT_BINOMIAL)
     assert iv.lo == pytest.approx(0.5, abs=1e-10)
 
 
@@ -124,15 +123,15 @@ def test_binom_tail_matches_scipy():
 # Normal (Wald) interval
 
 def test_normal_interval_frozen():
-    iv = normal_interval(trace_of(1800, 2000), 1e-3)
+    iv = build_interval(trace_of(1800, 2000), 1e-3, Method.NORMAL_APPROX)
     assert iv.lo == pytest.approx(0.9 - 0.0207299085086, abs=1e-9)
-    iv = normal_interval(trace_of(50, 100), 0.05)
+    iv = build_interval(trace_of(50, 100), 0.05, Method.NORMAL_APPROX)
     assert iv.hi - 0.5 == pytest.approx(0.0822426813476, abs=1e-9)
 
 
 def test_normal_interval_degenerate_at_extremes():
     for k, n in ((0, 20), (20, 20)):
-        iv = normal_interval(trace_of(k, n), 0.01)
+        iv = build_interval(trace_of(k, n), 0.01, Method.NORMAL_APPROX)
         assert iv.lo == iv.hi == k / n
 
 
@@ -170,7 +169,7 @@ def test_symmetry_before_clipping(method, hw):
 def test_delta_validation():
     for bad in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(ValueError):
-            hoeffding_interval(trace_of(5, 10), bad)
+            build_interval(trace_of(5, 10), bad, Method.HOEFFDING)
 
 
 def coverage_violations(method, q, n, delta, trials, seed):

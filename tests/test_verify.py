@@ -111,7 +111,7 @@ def test_general_matches_stability_when_closed_loop_zero():
         k = int(rng.integers(0, n + 1))
         trace = trace_of(k, n)
         direct = stability_test(plant, trace, 1e-3)
-        swept = general_test(plant, trace, 1e-3, grid_step=1e-3)
+        swept = general_test(plant, trace, 1e-3)
         assert swept.decision is direct.decision
 
 
@@ -129,15 +129,10 @@ def test_general_mixed_interval():
     # Hoeffding interval [0.7, 0.9] straddles the scalar boundary q=0.8.
     n = 200
     delta = math.exp(-2 * n * 0.1 ** 2)
-    verdict = general_test(plant, trace_of(160, n), delta, grid_step=1e-3)
+    verdict = general_test(plant, trace_of(160, n), delta)
     assert verdict.interval.lo == pytest.approx(0.7, abs=1e-12)
     assert verdict.interval.hi == pytest.approx(0.9, abs=1e-12)
     assert verdict.decision is Decision.UNDETERMINED
-
-
-def test_general_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        general_test(SCALAR_2, trace_of(5, 10), 1e-3, grid_step=0.01)
 
 
 def test_verdict_json_shape():
