@@ -29,7 +29,7 @@ import numpy as np
 from .channel import draw_trace
 from .complexity import (MarginSpec, bernstein_sample_size, correctness_bound,
                          hoeffding_sample_size)
-from .intervals import Method, interval_from_counts
+from .intervals import Method, _check_delta, interval_from_counts
 from .sysmodel import (PlantModel, critical_rate, load_plant, lyapunov_cost,
                        plant_from_dict, stability_threshold)
 from .verify import Decision, decide_cost, decide_stability
@@ -54,8 +54,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.true_rate <= 1.0:
             raise ValueError(f"true_rate={self.true_rate} outside [0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta={self.delta} outside (0, 1)")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid):
             raise ValueError("n_grid must contain positive sample sizes")
@@ -67,6 +65,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("at least one interval method is required")
         object.__setattr__(self, "methods", tuple(self.methods))
+        for method in self.methods:
+            _check_delta(self.delta, method)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.j_req is not None and self.j_req <= 0.0:
@@ -277,6 +277,14 @@ def _read_config(path, fields: dict, required: tuple[str, ...]) -> dict:
     return values
 
 
+def _integer(value) -> int:
+    """An int or an integral float such as 2e3; no bool, string or fraction."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read an experiment config (JSON); absent keys take the defaults.
 
@@ -291,9 +299,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ValueError("plant must be a file path or an inline object")
 
     fields = {"plant": plant, "true_rate": float, "delta": float,
-              "n_grid": lambda grid: tuple(int(n) for n in grid), "trials": int,
+              "n_grid": lambda grid: tuple(_integer(n) for n in grid),
+              "trials": _integer,
               "methods": lambda names: tuple(Method.parse(m) for m in names),
-              "seed": int, "j_req": float, "out": os.fspath}
+              "seed": _integer, "j_req": float, "out": os.fspath}
     return ExperimentConfig(**_read_config(path, fields, ("plant", "true_rate")))
 
 

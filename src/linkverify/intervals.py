@@ -9,16 +9,17 @@ clipped to [0, 1] whose endpoints are one-sided 1-delta bounds:
   Hoeffding width but forfeits the for-all-N wrong-answer guarantee;
   advantageous only for low-variance (very reliable or very unreliable)
   links.
-* ``exact``: inverts the binomial tail (one-sided Clopper-Pearson).
-  Keeps the per-side delta guarantee and is less conservative than
-  Hoeffding away from the extremes.
+* ``exact``: inverts the binomial tail (one-sided Clopper-Pearson) for
+  delta <= 0.5, where the two bounds do not cross. Keeps the per-side
+  delta guarantee; less conservative than Hoeffding away from the extremes.
 * ``normal``: Wald interval from the CLT, half-width
   z(d) * sqrt(m(1-m)/N). No finite-sample guarantee; least conservative.
 
-The exact method evaluates binomial tails by direct summation in the
-shorter tail with log-space terms (no special functions), and inverts
-them by bisection. Accuracy is full double precision for the sample
-sizes this library targets (N up to about 1e6).
+The exact method inverts binomial tails by bisection. Each tail is
+summed on its light side, never as 1 minus a sum near 1, and only over
+an O(sqrt(N)) window around its largest mass, grown until a geometric
+bound on the dropped mass is below 1e-18 of that peak. Tails keep about
+1e-11 relative accuracy up to N = 2e6.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def bernstein_tail(n: int, eps: float, q: float) -> float:
     return math.exp(-(n * eps * eps / 2.0) / (q * (1.0 - q) + eps / 3.0))
 
 
-def _check_delta(delta: float) -> None:
+def _check_delta(delta: float, method: Method) -> None:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} outside (0, 1)")
+    if method is Method.EXACT_BINOMIAL and delta > 0.5:
+        raise ValueError(f"method 'exact' needs delta <= 0.5, got {delta}")
 
 
 def interval_from_counts(method: Method, successes: int, n: int,
@@ -107,7 +110,7 @@ def interval_from_counts(method: Method, successes: int, n: int,
     Monte Carlo drivers call, since a verdict depends on the trace only
     through these sufficient statistics.
     """
-    _check_delta(delta)
+    _check_delta(delta, method)
     if n < 1:
         raise ValueError("need at least one sample")
     if not 0 <= successes <= n:
@@ -147,45 +150,70 @@ def build_interval(trace: ChannelTrace, delta: float,
 # Binomial tail machinery for the exact method.
 
 def binom_tail_upper(n: int, k: int, q: float) -> float:
-    """P(Bin(n, q) >= k), evaluated in the shorter tail."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-    if n - k + 1 <= k:
+    """P(Bin(n, q) >= k), summed on the light side."""
+    if k <= 0 or k > n or not 0.0 < q < 1.0:  # a sure or an impossible event
+        return float(k <= 0 or (k <= n and q >= 1.0))
+    if k > n * q:
         return min(1.0, _mass_sum(n, k, n, q))
     return max(0.0, 1.0 - _mass_sum(n, 0, k - 1, q))
 
 
 def binom_tail_lower(n: int, k: int, q: float) -> float:
-    """P(Bin(n, q) <= k)."""
+    """P(Bin(n, q) <= k), summed on the light side."""
+    if 0.0 < q < 1.0 and 0 <= k < n * q:
+        return min(1.0, _mass_sum(n, 0, k, q))
     return 1.0 - binom_tail_upper(n, k + 1, q)
 
 
 def _mass_sum(n: int, a: int, b: int, q: float) -> float:
-    """Sum of binomial point masses for counts a..b, log-space.
+    """Sum of the binomial masses t(i) = P(X = i), a <= i <= b, 0 < q < 1.
 
-    log C(n, i) is carried along the range by the ratio recurrence from
-    a single lgamma evaluation at i=a, then the shifted exponentials are
-    summed. Requires 0 < q < 1.
-    """
-    i = np.arange(a, b + 1, dtype=np.float64)
-    logc0 = (math.lgamma(n + 1) - math.lgamma(a + 1) - math.lgamma(n - a + 1))
-    if b > a:
-        # Extended-precision cumsum: plain float64 accumulation drifts to
-        # ~1e-10 over the thousands of terms a large-n tail can need.
-        ratios = np.log((n - i[:-1]) / (i[:-1] + 1.0)).astype(np.longdouble)
-        logc = logc0 + np.concatenate(
-            ([0.0], np.cumsum(ratios).astype(np.float64)))
-    else:
-        logc = np.array([logc0])
-    logterms = logc + i * math.log(q) + (n - i) * math.log1p(-q)
-    m = float(logterms.max())
-    return math.exp(m) * float(np.exp(logterms - m).sum())
+    Sums a window around the largest mass in range. t(i+1)/t(i) falls
+    with i, so past a cut edge the masses shrink faster than a geometric
+    series of the edge's ratio; the window doubles until those series
+    bound the dropped mass by 1e-18 of the peak."""
+    peak = min(max(int((n + 1) * q), a), b)
+    log_odds = math.log(q) - math.log1p(-q)
+    width = 16 + int(10.0 * math.sqrt(n * q * (1.0 - q)))
+    while True:
+        lo, hi = max(a, peak - width), min(b, peak + width)
+        i = np.arange(lo, hi, dtype=np.float64)
+        steps = np.log((n - i) / (i + 1.0)) + log_odds  # log t(i+1)/t(i)
+        logt = np.concatenate(([0.0], np.cumsum(steps)))
+        logt -= logt[peak - lo]
+        dropped = ((math.exp(logt[-1]) / math.expm1(-steps[-1]) if hi < b else 0.0)
+                   + (math.exp(logt[0]) / math.expm1(steps[0]) if lo > a else 0.0))
+        if dropped < 1e-18:
+            return math.exp(_log_mass(n, peak, q)) * float(np.exp(logt).sum())
+        width *= 2
+
+
+def _log_mass(n: int, k: int, q: float) -> float:
+    # log P(X = k) as Stirling error terms minus two deviances (Loader
+    # 2000, "Fast and accurate computation of binomial probabilities"):
+    # no term is large, where the lgamma form cancels ~1e7-sized logs.
+    if k == 0 or k == n:
+        return n * (math.log1p(-q) if k == 0 else math.log(q))
+    return (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+            - _deviance(k, n * q) - _deviance(n - k, n * (1.0 - q))
+            + 0.5 * math.log(n / (2.0 * math.pi * k * (n - k))))
+
+
+def _stirling_error(m: int) -> float:
+    # log(m!) - log(sqrt(2 pi m) (m/e)^m); its asymptotic series is exact
+    # to double precision from m = 16 on.
+    if m < 16:
+        return (math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m
+                - 0.5 * math.log(2.0 * math.pi))
+    s = 1.0 / (m * m)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / m
+
+
+def _deviance(x: int, mean: float) -> float:
+    # x log(x/mean) + mean - x, written so that its error is a few ulp of
+    # |x - mean| rather than of x and mean.
+    u = (x - mean) / mean
+    return mean * ((1.0 + u) * math.log1p(u) - u)
 
 
 def _bisect(f, lo: float, hi: float) -> float:

@@ -203,6 +203,9 @@ def critical_rate(plant: PlantModel, j_req: float) -> float | None:
     return hi
 
 
+# A diverging run (an unstable loop) is an expected outcome: its states and
+# running cost overflow to inf or nan without a RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(plant: PlantModel, trace: ChannelTrace, seed: int) -> Trajectory:
     """Run the switched dynamics along a packet trace from x_0 = 0.
 

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +203,13 @@ def test_simulate_near_threshold(plant_file, capsys):
     ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": [[5]]}),
     ("experiment", {"plant": "plant.json", "true_rate": 0.9, "out": 5}),
     ("experiment", {"true_rate": 0.9}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "trials": 2.5}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": [10.7, 20]}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "trials": True}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "seed": "3"}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": ["10"]}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "delta": 0.6,
+                    "methods": ["hoeffding", "exact"]}),
 ])
 def test_malformed_configs_exit_1(tmp_path, capsys, command, doc):
     save_plant(SCALAR_2, tmp_path / "plant.json")
@@ -235,3 +246,30 @@ def test_non_finite_outputs_print_null(plant_file, tmp_path, capsys):
     assert code == 0
     doc = _strict_json(out)
     assert doc["threshold"] is None and doc["decision"] == "Affirm"
+
+
+def test_exact_delta_above_half_exits_1(plant_file, capsys):
+    # The one-sided Clopper-Pearson bounds cross above delta = 0.5.
+    code, out, err = run_cli(capsys, "verify-stability", "--plant", plant_file,
+                             "--trace", "gen:0.6,20,1", "--method", "exact",
+                             "--delta", "0.6")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'exact'" in err and "0.5" in err
+    code, out, _ = run_cli(capsys, "verify-stability", "--plant", plant_file,
+                           "--trace", "gen:0.6,20,1", "--method", "exact",
+                           "--delta", "0.5")
+    assert code == 0 and json.loads(out)["method"] == "exact"
+
+
+def test_diverging_simulate_writes_nothing_to_stderr(plant_file, capfd):
+    # A fresh interpreter, so no warning filter of the test run hides one.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "linkverify", "simulate", "--plant", plant_file,
+         "--q", "0", "--horizon", "2000", "--seed", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert result.returncode == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert _strict_json(out)["running_cost"] is None

@@ -184,6 +184,15 @@ def test_config_validation():
         small_config(delta=0.0)
 
 
+def test_config_rejects_exact_above_half():
+    # The one-sided exact bounds cross above delta = 0.5: rejected before
+    # any trace is drawn.
+    with pytest.raises(ValueError, match="'exact'"):
+        small_config(delta=0.6, methods=(Method.HOEFFDING, Method.EXACT_BINOMIAL))
+    assert small_config(delta=0.5, methods=(Method.EXACT_BINOMIAL,)).delta == 0.5
+    assert small_config(delta=0.6).delta == 0.6
+
+
 def test_csv_output_and_reproducibility(tmp_path):
     cfg = small_config(methods=THREE_METHODS, trials=100)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -276,6 +285,23 @@ def test_config_file_inline_plant_and_defaults(tmp_path):
     assert cfg.trials == 1000
     assert cfg.n_grid[-1] == 2000
     assert cfg.j_req is None
+
+
+def test_config_file_integer_fields(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "plant": {"n": 1, "a_open": [[2.0]]}, "true_rate": 0.5,
+        "n_grid": [10, 2e1, 50.0], "trials": 2e3, "seed": 7.0,
+    }))
+    cfg = load_experiment_config(cfg_path)
+    assert cfg.n_grid == (10, 20, 50) and cfg.trials == 2000 and cfg.seed == 7
+    assert all(type(n) is int for n in (*cfg.n_grid, cfg.trials, cfg.seed))
+    for key, value in (("trials", 2.5), ("n_grid", [10.7, 20]), ("seed", True),
+                       ("trials", "2000"), ("seed", float("inf"))):
+        cfg_path.write_text(json.dumps({
+            "plant": {"n": 1, "a_open": [[2.0]]}, "true_rate": 0.5, key: value}))
+        with pytest.raises(ValueError, match=repr(key)):
+            load_experiment_config(cfg_path)
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

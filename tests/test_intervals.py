@@ -11,7 +11,8 @@ from scipy.special import ndtri
 
 from linkverify import (ChannelTrace, Method, bernstein_tail, build_interval,
                         hoeffding_tail)
-from linkverify.intervals import binom_tail_upper, interval_from_counts
+from linkverify.intervals import (_mass_sum, binom_tail_lower, binom_tail_upper,
+                                  interval_from_counts)
 
 
 def trace_of(successes, n):
@@ -118,6 +119,92 @@ def test_binom_tail_matches_scipy():
         q = float(rng.uniform(0.0, 1.0))
         assert binom_tail_upper(n, k, q) == pytest.approx(
             float(scipy.stats.binom.sf(k - 1, n, q)), abs=1e-11)
+
+
+def test_binom_tails_match_scipy_at_large_n():
+    # Counts come from scipy's quantiles, so that one tail is near a
+    # target between 0.5 and 1e-13 (where a sum over the heavy side loses
+    # it) and the other near 1; n up to 2e6, rates 1e-7 from 0 and 1.
+    rng = np.random.default_rng(23)
+    for case in range(300):
+        n = int(rng.integers(1, 2_000_001)) if case % 4 else int(rng.integers(1, 300))
+        q = (1e-7, 1.0 - 1e-7, float(rng.uniform(0.0, 1.0)))[min(case % 5, 2)]
+        target = 10.0 ** rng.uniform(-13.0, -0.3)
+        k_up = int(scipy.stats.binom.isf(target, n, q)) + 1
+        k_lo = int(scipy.stats.binom.ppf(target, n, q)) - 1
+        for k in (k_up, k_lo):
+            for tail, ref in ((binom_tail_upper(n, k, q), scipy.stats.binom.sf(k - 1, n, q)),
+                              (binom_tail_lower(n, k, q), scipy.stats.binom.cdf(k, n, q))):
+                assert tail == pytest.approx(float(ref), abs=1e-11)
+                if ref > 1e-12:
+                    assert tail == pytest.approx(float(ref), rel=1e-9, abs=0.0)
+
+
+def exact_ends_oracle(k, n, delta):
+    lo = 0.0 if k == 0 else scipy.stats.beta.ppf(delta, k, n - k + 1)
+    hi = 1.0 if k == n else scipy.stats.beta.isf(delta, k + 1, n - k)
+    return float(lo), float(hi)
+
+
+def test_exact_interval_matches_beta_ppf_at_large_n():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(100_000, 2_000_001))
+        k = int(rng.integers(0, n + 1))
+        delta = float(10.0 ** rng.uniform(-8.0, -3.0))
+        iv = interval_from_counts(Method.EXACT_BINOMIAL, k, n, delta)
+        lo, hi = exact_ends_oracle(k, n, delta)
+        assert iv.lo == pytest.approx(lo, abs=1e-9)
+        assert iv.hi == pytest.approx(hi, abs=1e-9)
+
+
+@pytest.mark.parametrize("k,n,delta", [
+    (602_626, 1_131_927, 1.8468055849478157e-08),
+    # A tail summed as 1 minus a sum near 1 put hi 3e-7 too low here.
+    (1_438_809, 1_937_465, 9.16e-7),
+])
+def test_exact_interval_large_n_regressions(k, n, delta):
+    iv = interval_from_counts(Method.EXACT_BINOMIAL, k, n, delta)
+    lo, hi = exact_ends_oracle(k, n, delta)
+    assert iv.lo == pytest.approx(lo, abs=1e-9)
+    assert iv.hi == pytest.approx(hi, abs=1e-9)
+    assert iv.hi >= hi - 1e-12
+
+
+@pytest.mark.parametrize("n,a,b,q", [
+    (1_000, 0, 1_000, 0.3),        # the whole support: no edge is cut
+    (1_000, 290, 310, 0.3),        # window wider than the range: edges at a, b
+    (1_000, 330, 1_000, 0.3),      # peak at a, right edge cut
+    (1_000, 0, 260, 0.3),          # peak at b, left edge cut
+    (100_000, 0, 29_900, 0.3),     # left edge cut far from a
+    (100_000, 30_000, 30_040, 0.3),
+    (2_000_000, 0, 3, 1e-7),       # Poisson-like: peak at the edge a = 0
+    (2_000_000, 1, 200_000, 1e-6),
+    (2_000_000, 1_999_990, 2_000_000, 1.0 - 2e-6),
+    (50, 7, 7, 0.5),               # a single term
+])
+def test_windowed_mass_sum_matches_full_range(n, a, b, q):
+    masses = scipy.stats.binom.pmf(np.arange(a, b + 1), n, q)
+    assert _mass_sum(n, a, b, q) == pytest.approx(math.fsum(masses), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0, 12_500_000_000 - 474_342, 12_500_000_010])
+def test_mass_sum_window_grows_past_its_first_width(a):
+    # At sd = 79,057 the first window (16 + 10 sd each side) leaves a
+    # geometric bound above 1e-18 of the peak, so the window doubles. The
+    # float64 cumsum over its ~3e6 log ratios drifts by about 1e-12 here.
+    n = 25_000_000_000
+    ref = float(scipy.stats.binom.sf(a - 1, n, 0.5))
+    assert _mass_sum(n, a, n, 0.5) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_exact_rejects_crossing_delta():
+    # Above 0.5 the one-sided Clopper-Pearson bounds cross.
+    with pytest.raises(ValueError, match=r"'exact'.*0\.5"):
+        interval_from_counts(Method.EXACT_BINOMIAL, 12, 20, 0.6)
+    iv = interval_from_counts(Method.EXACT_BINOMIAL, 12, 20, 0.5)
+    assert iv.lo <= iv.q_hat <= iv.hi
+    assert interval_from_counts(Method.HOEFFDING, 12, 20, 0.6).delta == 0.6
 
 
 # Normal (Wald) interval
