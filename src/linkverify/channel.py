@@ -84,7 +84,7 @@ def save_trace(trace: ChannelTrace, path) -> None:
     """Write a trace in the plain-text format (80-column wrapped)."""
     rate = "unknown" if trace.true_rate is None else repr(float(trace.true_rate))
     lines = [f"n={len(trace)} q={rate} seed={trace.seed}"]
-    digits = "".join("1" if o else "0" for o in trace.outcomes)
+    digits = (trace.outcomes + ord("0")).tobytes().decode("ascii")
     lines.extend(digits[i : i + 80] for i in range(0, len(digits), 80))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -60,12 +60,8 @@ def _emit_verdict(verdict) -> int:
 def _cmd_verify_stability(args) -> int:
     plant = load_plant(args.plant)
     trace = _parse_trace(args.trace)
-    method = Method.parse(args.method)
-    if plant.is_simple:
-        verdict = stability_test(plant, trace, args.delta, method)
-    else:
-        verdict = general_test(plant, trace, args.delta, method)
-    return _emit_verdict(verdict)
+    test = stability_test if plant.is_simple else general_test
+    return _emit_verdict(test(plant, trace, args.delta, Method.parse(args.method)))
 
 
 def _cmd_verify_cost(args) -> int:
@@ -87,10 +83,8 @@ def _cmd_sample_size(args) -> int:
     if args.rho <= 0.0:
         raise ValueError("spectral radius must be positive")
     spec = MarginSpec(args.q, 1.0 - 1.0 / (args.rho * args.rho), args.delta)
-    if args.bound == "hoeffding":
-        print(hoeffding_sample_size(spec))
-    else:
-        print(bernstein_sample_size(spec))
+    size = hoeffding_sample_size if args.bound == "hoeffding" else bernstein_sample_size
+    print(size(spec))
     return 0
 
 
@@ -99,10 +93,8 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out or cfg.out
     if out_dir is None:
         raise ValueError("no output directory: pass --out or set 'out' in the config")
-    if cfg.j_req is not None:
-        ledger = run_cost_experiment(cfg)
-    else:
-        ledger = run_stability_experiment(cfg)
+    run = run_stability_experiment if cfg.j_req is None else run_cost_experiment
+    ledger = run(cfg)
     write_ledger_csvs(ledger, out_dir)
     for name, value in sorted(ledger.extras.items()):
         print(f"{name}: {value}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .intervals import bernstein_tail, hoeffding_tail
+
 
 @dataclass(frozen=True)
 class MarginSpec:
@@ -50,7 +52,7 @@ def correctness_bound(spec: MarginSpec, n: int) -> float:
     inner = spec.margin - math.sqrt(math.log(1.0 / spec.delta) / (2.0 * n))
     if inner <= 0.0:
         return 0.0
-    return 1.0 - math.exp(-2.0 * n * inner * inner)
+    return 1.0 - hoeffding_tail(n, inner)
 
 
 def hoeffding_sample_size(spec: MarginSpec) -> int:
@@ -59,12 +61,8 @@ def hoeffding_sample_size(spec: MarginSpec) -> int:
 
 
 def _bernstein_ok(spec: MarginSpec, n: int) -> bool:
-    log_inv = math.log(1.0 / spec.delta)
-    eps = spec.margin - log_inv / n
-    if eps <= 0.0:
-        return False
-    variance = spec.q * (1.0 - spec.q)
-    return n * eps * eps / 2.0 / (variance + eps / 3.0) >= log_inv
+    eps = spec.margin - math.log(1.0 / spec.delta) / n
+    return eps > 0.0 and bernstein_tail(n, eps, spec.q) <= spec.delta
 
 
 def bernstein_sample_size(spec: MarginSpec) -> int:

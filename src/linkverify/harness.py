@@ -39,6 +39,15 @@ DEFAULT_DELTA = 1e-3
 DEFAULT_TRIALS = 1000
 
 
+def _integer(value, key: str) -> int:
+    """An int or an integral float such as 2e3; no bool, string or fraction."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     plant: PlantModel
@@ -54,12 +63,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.true_rate <= 1.0:
             raise ValueError(f"true_rate={self.true_rate} outside [0, 1]")
-        grid = tuple(int(n) for n in self.n_grid)
+        if np.ndim(self.n_grid) != 1:
+            raise ValueError(f"'n_grid' must be a sequence, got {self.n_grid!r}")
+        grid = tuple(_integer(n, "n_grid") for n in self.n_grid)
         if not grid or any(n < 1 for n in grid):
             raise ValueError("n_grid must contain positive sample sizes")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.methods:
@@ -67,7 +79,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         for method in self.methods:
             _check_delta(self.delta, method)
-        if not 0 <= int(self.seed) < 2**64:
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.j_req is not None and self.j_req <= 0.0:
             raise ValueError("j_req must be positive")
@@ -254,8 +267,8 @@ def write_complexity_csv(rows, path) -> None:
 
 
 def _read_config(path, fields: dict, required: tuple[str, ...]) -> dict:
-    """A JSON-object config, each non-null value converted by ``fields[key]``;
-    unknown or missing keys and rejected values raise ValueError."""
+    """A JSON-object config, each non-null value converted by ``fields[key]``
+    unless that is None; unknown or missing keys and bad values raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -268,21 +281,13 @@ def _read_config(path, fields: dict, required: tuple[str, ...]) -> dict:
         if value is None:
             continue
         try:
-            values[key] = fields[key](value)
+            values[key] = value if fields[key] is None else fields[key](value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     missing = [key for key in required if key not in values]
     if missing:
         raise ValueError(f"config missing required keys {missing}")
     return values
-
-
-def _integer(value) -> int:
-    """An int or an integral float such as 2e3; no bool, string or fraction."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -299,10 +304,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ValueError("plant must be a file path or an inline object")
 
     fields = {"plant": plant, "true_rate": float, "delta": float,
-              "n_grid": lambda grid: tuple(_integer(n) for n in grid),
-              "trials": _integer,
+              "n_grid": None, "trials": None,
               "methods": lambda names: tuple(Method.parse(m) for m in names),
-              "seed": _integer, "j_req": float, "out": os.fspath}
+              "seed": None, "j_req": float, "out": os.fspath}
     return ExperimentConfig(**_read_config(path, fields, ("plant", "true_rate")))
 
 

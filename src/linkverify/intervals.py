@@ -117,23 +117,20 @@ def interval_from_counts(method: Method, successes: int, n: int,
         raise ValueError(f"success count {successes} outside [0, {n}]")
     q_hat = successes / n
 
-    if method is Method.HOEFFDING:
-        hw = math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-        lo, hi = q_hat - hw, q_hat + hw
-    elif method is Method.BERNSTEIN_FAST:
-        hw = math.log(1.0 / delta) / n
-        lo, hi = q_hat - hw, q_hat + hw
-    elif method is Method.NORMAL_APPROX:
-        # 1-delta standard normal quantile; for delta >= 0.5 the quantile
-        # is nonpositive and the interval degenerates to the mean.
-        z = max(_NORMAL.inv_cdf(1.0 - delta), 0.0)
-        hw = z * math.sqrt(q_hat * (1.0 - q_hat) / n)
-        lo, hi = q_hat - hw, q_hat + hw
-    elif method is Method.EXACT_BINOMIAL:
+    if method is Method.EXACT_BINOMIAL:
         lo = 0.0 if successes == 0 else _solve_lower(successes, n, delta)
         hi = 1.0 if successes == n else _solve_upper(successes, n, delta)
-    else:  # pragma: no cover - exhaustive over Method
-        raise ValueError(f"unhandled method {method}")
+    else:
+        if method is Method.HOEFFDING:
+            hw = math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+        elif method is Method.BERNSTEIN_FAST:
+            hw = math.log(1.0 / delta) / n
+        else:
+            # 1-delta standard normal quantile; for delta >= 0.5 the quantile
+            # is nonpositive and the interval degenerates to the mean.
+            z = max(_NORMAL.inv_cdf(1.0 - delta), 0.0)
+            hw = z * math.sqrt(q_hat * (1.0 - q_hat) / n)
+        lo, hi = q_hat - hw, q_hat + hw
 
     return RateInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                         method=method, delta=delta, n=n, q_hat=q_hat)

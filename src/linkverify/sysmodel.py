@@ -131,19 +131,22 @@ def stability_threshold(plant: PlantModel) -> float:
     return 1.0 - 1.0 / (rho * rho)
 
 
-def kronecker_stable(plant: PlantModel, q: float) -> bool:
+def kronecker_stable(plant: PlantModel, q: float,
+                     open_weight: float | None = None) -> bool:
     """Mean-square stability of the general model at success rate q.
 
-    True iff rho(q*Ac(x)Ac + (1-q)*Ao(x)Ao) < 1, with a 1e-12 guard
-    band so marginal spectra are never certified stable.
+    True iff rho(q*Ac(x)Ac + w*Ao(x)Ao) < 1, where the open-loop weight w
+    is 1-q unless given, with a 1e-12 guard band so marginal spectra
+    are never certified stable.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    w = 1.0 - q if open_weight is None else open_weight
+    if not (0.0 <= q <= 1.0 and 0.0 <= w <= 1.0):
+        raise ValueError(f"weights q={q}, open_weight={w} outside [0, 1]")
     if plant.dim > _KRON_DIM_CAP:
         raise ValueError(f"dimension {plant.dim} exceeds the Kronecker cap "
                          f"{_KRON_DIM_CAP}")
     mixed = (q * np.kron(plant.a_closed, plant.a_closed)
-             + (1.0 - q) * np.kron(plant.a_open, plant.a_open))
+             + w * np.kron(plant.a_open, plant.a_open))
     return spectral_radius(mixed) < 1.0 - _MARGINAL_BAND
 
 

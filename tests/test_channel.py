@@ -130,6 +130,17 @@ def test_file_round_trip(tmp_path):
     assert loaded.true_rate == trace.true_rate
 
 
+@pytest.mark.parametrize("n", [1, 80, 81, 250, 2000])
+def test_save_trace_bytes_match_per_outcome_writer(tmp_path, n):
+    trace = draw_trace(0.61, n, 2718)
+    digits = "".join("1" if o else "0" for o in trace.outcomes)
+    expected = "\n".join([f"n={n} q=0.61 seed=2718"]
+                         + [digits[i : i + 80] for i in range(0, n, 80)]) + "\n"
+    path = tmp_path / "trace.txt"
+    save_trace(trace, path)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_load_ignores_whitespace(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text("n=6 q=unknown seed=9\n10 1\n\t0 11\n")

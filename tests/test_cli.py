@@ -64,7 +64,7 @@ def test_verify_stability_general_plant(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["decision"] == "Affirm"
-    assert "grid-certified" in doc["flags"]
+    assert doc["flags"] == []
 
 
 def test_verify_cost(plant_file, capsys):

@@ -184,6 +184,17 @@ def test_config_validation():
         small_config(delta=0.0)
 
 
+def test_config_constructor_checks_integer_fields():
+    cfg = small_config(n_grid=(10, 2e1, np.int64(50)), trials=2e3, seed=7.0)
+    assert cfg.n_grid == (10, 20, 50) and cfg.trials == 2000 and cfg.seed == 7
+    assert all(type(n) is int for n in (*cfg.n_grid, cfg.trials, cfg.seed))
+    for key, value in (("n_grid", (10.7, 20)), ("n_grid", 5), ("n_grid", ("10",)),
+                       ("trials", 2.5), ("trials", True), ("seed", 3.9),
+                       ("seed", "3"), ("seed", float("inf"))):
+        with pytest.raises(ValueError, match=repr(key)):
+            small_config(**{key: value})
+
+
 def test_config_rejects_exact_above_half():
     # The one-sided exact bounds cross above delta = 0.5: rejected before
     # any trace is drawn.

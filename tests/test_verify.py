@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from linkverify import (ChannelTrace, Decision, Method, PlantModel, cost_test,
-                        general_test, lyapunov_cost, stability_test,
-                        stability_threshold)
+                        general_test, kronecker_stable, lyapunov_cost,
+                        spectral_radius, stability_test, stability_threshold)
+from linkverify import verify
 
 
 def trace_of(successes, n):
@@ -120,7 +121,7 @@ def test_general_both_modes_contractive():
                        q_weight=np.eye(2), w_cov=np.eye(2))
     verdict = general_test(plant, trace_of(3, 10), 1e-3)
     assert verdict.decision is Decision.AFFIRM
-    assert "grid-certified" in verdict.flags
+    assert verdict.flags == ()
 
 
 def test_general_mixed_interval():
@@ -133,6 +134,75 @@ def test_general_mixed_interval():
     assert verdict.interval.lo == pytest.approx(0.7, abs=1e-12)
     assert verdict.interval.hi == pytest.approx(0.9, abs=1e-12)
     assert verdict.decision is Decision.UNDETERMINED
+    # Breadth-first pieces reach both sides of the crossing long before
+    # the 1e-4 floor.
+    assert verdict.flags == ()
+
+
+def test_general_one_bound_test_per_decisive_piece(monkeypatch):
+    # A stable simple plant is affirmed by one eigensolve at the lower
+    # end, an unstable one denied by two; neither is bisected.
+    calls = []
+    point_test = verify.kronecker_stable
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return point_test(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "kronecker_stable", counted)
+    plant = PlantModel.simple([[2.0]])
+    assert general_test(plant, trace_of(1800, 2000), 1e-3).decision is Decision.AFFIRM
+    assert len(calls) == 1
+    assert general_test(plant, trace_of(1000, 2000), 1e-3).decision is Decision.DENY
+    assert len(calls) == 3
+
+
+def test_general_finds_unstable_pocket_between_grid_points():
+    # rho(L_q) = 2(1+1e-10) sqrt(q(1-q)) reaches 1 only for |q - 0.5| below
+    # about 7e-6, a pocket that rates 1e-4 apart step over.
+    s = math.sqrt(2.0 * (1.0 + 1e-10))
+    plant = PlantModel(a_open=s * np.array([[0.0, 0.0], [1.0, 0.0]]),
+                       a_closed=s * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                       q_weight=np.eye(2), w_cov=np.eye(2))
+    assert not kronecker_stable(plant, 0.5)
+    assert kronecker_stable(plant, 0.5 - 1e-5) and kronecker_stable(plant, 0.5 + 1e-5)
+    verdict = general_test(plant, trace_of(101, 200), 1e-3)
+    assert verdict.interval.lo < 0.5 < verdict.interval.hi
+    assert verdict.decision is Decision.UNDETERMINED
+    assert verdict.flags == ("unresolved below 1e-4",)
+
+
+def test_general_decisive_answers_hold_on_a_dense_grid():
+    # Random plants scaled so that rho(L_q) = 1 at a rate q0 near the
+    # interval: decisive answers come close to a stability crossing.
+    rng = np.random.default_rng(2024)
+    decided = {Decision.AFFIRM: 0, Decision.DENY: 0, Decision.UNDETERMINED: 0}
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        a_open, a_closed = rng.standard_normal((2, dim, dim))
+        a_closed *= rng.uniform(0.1, 1.0) * spectral_radius(a_open) / spectral_radius(a_closed)
+        n = int(rng.integers(500, 20000))
+        k = int(rng.integers(n // 10, n - n // 10))
+        half_width = math.sqrt(math.log(1e3) / (2 * n))
+        q0 = min(max(k / n + rng.uniform(-2.5, 2.5) * half_width, 0.01), 0.99)
+        scale = spectral_radius(q0 * np.kron(a_closed, a_closed)
+                                + (1.0 - q0) * np.kron(a_open, a_open)) ** -0.5
+        a_open, a_closed = scale * a_open, scale * a_closed
+        plant = PlantModel(a_open=a_open, a_closed=a_closed,
+                           q_weight=np.eye(dim), w_cov=np.eye(dim))
+        verdict = general_test(plant, trace_of(k, n), 1e-3)
+        decided[verdict.decision] += 1
+        if verdict.decision is Decision.UNDETERMINED:
+            continue
+        # Both ends, then midpoints of 2.5e-5-wide cells: offset from the
+        # dyadic piece ends and four times finer than the piece floor.
+        lo, hi = verdict.interval.lo, verdict.interval.hi
+        m = max(1, math.ceil((hi - lo) / 2.5e-5))
+        q = np.r_[lo, hi, lo + (np.arange(m) + 0.5) * (hi - lo) / m][:, None, None]
+        mixed = q * np.kron(a_closed, a_closed) + (1.0 - q) * np.kron(a_open, a_open)
+        stable = np.abs(np.linalg.eigvals(mixed)).max(axis=1) < 1.0 - 1e-12
+        assert stable.all() if verdict.decision is Decision.AFFIRM else not stable.any()
+    assert min(decided.values()) >= 5
 
 
 def test_verdict_json_shape():
