@@ -273,3 +273,20 @@ def test_diverging_simulate_writes_nothing_to_stderr(plant_file, capfd):
     out, err = capfd.readouterr()
     assert err == ""
     assert _strict_json(out)["running_cost"] is None
+
+
+def test_diverging_general_simulate_writes_nothing_to_stderr(tmp_path, capfd):
+    # rho(Ao) = 3 and every packet dropped: the chunked scan overflows too.
+    path = tmp_path / "general.json"
+    save_plant(PlantModel(a_open=[[3.0, 0.5], [0.0, 0.5]],
+                          a_closed=[[0.5, 0.0], [0.2, 0.3]],
+                          q_weight=np.eye(2), w_cov=np.eye(2)), path)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "linkverify", "simulate", "--plant", str(path),
+         "--q", "0", "--horizon", "2000", "--seed", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert result.returncode == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert _strict_json(out)["running_cost"] is None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,58 @@ def test_simulate_multidim_matches_loop():
             err = np.abs(got - ref).max(axis=1)
             assert np.all(err <= 1e-12 * np.abs(ref).max(axis=1))
 
+
+
+def test_simulate_general_matches_loop():
+    # A row differs from the loop's only through its chunk's stitched start
+    # state. The loop forms row k from row k-1, and a scalar state can cancel
+    # to near zero, so each row is scaled by its own max or its predecessor's.
+    rng = np.random.default_rng(47)
+    for dim in (1, 2, 3, 4):
+        a = rng.normal(size=(dim, dim))
+        c = rng.normal(size=(dim, dim))
+        plant = PlantModel(a_open=a / spectral_radius(a) * 1.1,
+                           a_closed=c / np.linalg.norm(c, 2) * 0.5,
+                           q_weight=np.eye(dim), w_cov=np.eye(dim))
+        for q in (0.0, 0.5, 0.9, 1.0):
+            # Perfect squares, one off a square, a prime, shorter than a chunk.
+            for horizon in (1, 2, 3, 48, 49, 50, 2501, 3000):
+                trace = draw_trace(q, horizon, dim)
+                got = simulate(plant, trace, 53).states
+                ref = reference_simulate(plant, trace, 53)
+                scale = np.abs(ref).max(axis=1)
+                scale[1:] = np.maximum(scale[1:], scale[:-1])
+                err = np.abs(got - ref).max(axis=1)
+                finite = np.isfinite(ref).all(axis=1)
+                assert np.all(err[finite] <= 1e-12 * scale[finite])
+
+
+def test_simulate_general_diverges_with_loop():
+    plant = PlantModel(a_open=[[3.0, 0.5], [0.0, 0.5]],
+                       a_closed=[[0.5, 0.0], [0.2, 0.3]],
+                       q_weight=np.eye(2), w_cov=np.eye(2))
+    for horizon, diverged in ((300, False), (2000, True)):
+        trace = draw_trace(0.0, horizon, 5)
+        got = simulate(plant, trace, 6).running_cost
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_simulate(plant, trace, 6)
+            ref_cost = float(np.einsum("ki,ki->k", ref, ref).mean())
+        assert math.isfinite(got) == math.isfinite(ref_cost) != diverged
+
+
+def test_simulate_general_memory_linear_in_horizon():
+    # Pass 1 keeps one transition per chunk, never one per step.
+    plant = PlantModel(a_open=[[1.2, 0.3], [0.0, -0.5]],
+                       a_closed=[[0.3, 0.0], [0.1, 0.2]],
+                       q_weight=np.eye(2), w_cov=np.eye(2))
+    trace = draw_trace(0.9, 100_000, 8)
+    tracemalloc.start()
+    try:
+        traj = simulate(plant, trace, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * traj.states.nbytes
 
 def test_simulate_deterministic_and_consistent():
     plant = PlantModel.simple(np.array([[0.4, 1.0], [0.0, 1.6]]))
