@@ -6,15 +6,29 @@ A trace is an ordered record of binary packet outcomes (1 = delivered,
 function of (q, n, seed) and prefix-stable: the first n outcomes of a
 longer draw with the same seed are identical to a shorter draw. Sample
 size sweeps can therefore reuse a single stream per trial.
+
+Philox is counter-based (Salmon, Moraes, Dror & Shaw 2011, "Parallel
+random numbers: as easy as 1, 2, 3"), so each thread keeps one instance
+and re-keys it per draw instead of building a new generator. An outcome
+is 1 iff the stream's raw 64-bit word is below ceil(q * 2^53) * 2^11,
+which is bit for bit the comparison ``Generator.random() < q``, since
+``random()`` is ``(word >> 11) * 2^-53``.
 """
 
 from __future__ import annotations
 
+import math
+import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 _SEED_MAX = 2**64
+# The ASCII characters str.split() treats as whitespace.
+_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_HEADER = re.compile(rb"[^\r\n]*")
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,12 @@ class ChannelTrace:
         arr = np.asarray(self.outcomes)
         if arr.ndim != 1:
             raise ValueError("outcomes must be a one-dimensional sequence")
-        if arr.size and not np.all((arr == 0) | (arr == 1)):
+        if arr.dtype == np.bool_:
+            # Binary by type (bytes 0/1 unless memory was reinterpreted as
+            # bool), so not scanned: frozen like uint8 input, read as uint8.
+            arr.setflags(write=False)
+            arr = arr.view(np.uint8)
+        elif arr.size and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("outcomes must contain only 0 and 1")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
@@ -68,9 +87,27 @@ def draw_trace(q: float, n: int, seed: int) -> ChannelTrace:
         raise ValueError("need at least one sample")
     if not 0 <= int(seed) < _SEED_MAX:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    outcomes = (rng.random(int(n)) < q).astype(np.uint8)
+    if q == 1.0:
+        # The cut below would be 2^64; every uniform draw is below 1.
+        outcomes = np.ones(int(n), dtype=np.bool_)
+    else:
+        cut = np.uint64(math.ceil(q * 2.0**53) << 11)
+        outcomes = _philox(int(seed)).random_raw(int(n)) < cut
     return ChannelTrace(outcomes, seed=int(seed), true_rate=float(q))
+
+
+def _philox(seed: int) -> np.random.Philox:
+    """This thread's Philox, re-keyed to the stream of ``Philox(key=seed)``."""
+    bit_gen = getattr(_local, "philox", None)
+    if bit_gen is None:
+        bit_gen = _local.philox = np.random.Philox(key=0)
+    # Key word 0 = seed, counter 0, buffer empty: the state Philox(key=seed)
+    # starts in.
+    bit_gen.state = {"bit_generator": "Philox",
+                     "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+                     "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                     "has_uint32": 0, "uinteger": 0}
+    return bit_gen
 
 
 def sample_mean(trace: ChannelTrace) -> float:
@@ -94,11 +131,12 @@ def load_trace(path) -> ChannelTrace:
     """Read a trace file: header line, then '0'/'1' characters.
 
     Whitespace between outcome characters is ignored, so any wrapping
-    is accepted.
+    and any line ending is accepted.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        body = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = _HEADER.match(data).group()
+    header = head.decode("ascii")
     fields = dict(item.split("=", 1) for item in header.split())
     try:
         n = int(fields["n"])
@@ -106,12 +144,13 @@ def load_trace(path) -> ChannelTrace:
         rate = None if fields["q"] == "unknown" else float(fields["q"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed trace header: {header!r}") from exc
-    digits = "".join(body.split())
+    digits = data[len(head):].translate(None, _WHITESPACE)
     if len(digits) != n:
         raise ValueError(f"trace body has {len(digits)} outcomes, header says {n}")
     if n < 1:
         raise ValueError("trace must contain at least one outcome")
-    if set(digits) - {"0", "1"}:
+    # Any byte other than '0' or '1' lands above 1 (uint8 wraps below '0').
+    outcomes = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+    if outcomes.max() > 1:
         raise ValueError("trace body may contain only '0' and '1'")
-    outcomes = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-    return ChannelTrace(outcomes, seed=seed, true_rate=rate)
+    return ChannelTrace(outcomes.view(np.bool_), seed=seed, true_rate=rate)

@@ -16,6 +16,7 @@ verify command returns Undetermined, 1 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -135,7 +136,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="linkverify",
         description="Sample-based stability and cost verification for "

@@ -37,6 +37,8 @@ from .verify import Decision, decide_cost, decide_stability
 DEFAULT_N_GRID = (10, 20, 50, 100, 200, 300, 500, 1000, 1500, 2000)
 DEFAULT_DELTA = 1e-3
 DEFAULT_TRIALS = 1000
+# Trials per reduceat; the int64 cast of a block is _BLOCK * 8 bytes per outcome.
+_BLOCK = 16
 
 
 def _integer(value, key: str) -> int:
@@ -126,14 +128,20 @@ def _success_counts(cfg: ExperimentConfig) -> np.ndarray:
 
     Trial streams are keyed by seed XOR trial index; Philox keys give
     independent streams, so the tally is the same under any trial
-    execution order.
+    execution order. Outcomes of _BLOCK trials at a time are summed per
+    grid segment [n_(i-1), n_i) in one reduceat, and the segment sums are
+    accumulated along the grid, so no per-outcome prefix sum is built.
     """
     max_n = cfg.n_grid[-1]
-    idx = np.asarray(cfg.n_grid, dtype=np.int64) - 1
+    starts = np.asarray((0,) + cfg.n_grid[:-1], dtype=np.intp)
     counts = np.empty((cfg.trials, len(cfg.n_grid)), dtype=np.int64)
-    for trial in range(cfg.trials):
-        trace = draw_trace(cfg.true_rate, max_n, cfg.seed ^ trial)
-        counts[trial] = np.cumsum(trace.outcomes, dtype=np.int64)[idx]
+    block = np.empty((min(_BLOCK, cfg.trials), max_n), dtype=np.uint8)
+    for first in range(0, cfg.trials, _BLOCK):
+        rows = block[:min(_BLOCK, cfg.trials - first)]
+        for trial, row in enumerate(rows, first):
+            row[:] = draw_trace(cfg.true_rate, max_n, cfg.seed ^ trial).outcomes
+        segments = np.add.reduceat(rows, starts, axis=1, dtype=np.int64)
+        np.cumsum(segments, axis=1, out=counts[first:first + len(rows)])
     return counts
 
 

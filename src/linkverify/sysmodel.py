@@ -107,6 +107,11 @@ class PlantModel:
         return (np.kron(self.a_closed, self.a_closed),
                 np.kron(self.a_open, self.a_open))
 
+    @cached_property
+    def _open_radius(self) -> float:
+        """rho(Ao), computed once per plant."""
+        return spectral_radius(self.a_open)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -136,7 +141,7 @@ def stability_threshold(plant: PlantModel) -> float:
     open loop is nilpotent (stable at any rate).
     """
     _require_simple(plant, "stability_threshold")
-    rho = spectral_radius(plant.a_open)
+    rho = plant._open_radius
     if rho == 0.0:
         return -math.inf
     return 1.0 - 1.0 / (rho * rho)
@@ -173,7 +178,7 @@ def lyapunov_cost(plant: PlantModel, q: float) -> float:
     _require_simple(plant, "lyapunov_cost")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
-    rho = spectral_radius(plant.a_open)
+    rho = plant._open_radius
     if (1.0 - q) * rho * rho >= 1.0 - _MARGINAL_BAND:
         return math.inf
     m = math.sqrt(1.0 - q) * plant.a_open

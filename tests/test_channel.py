@@ -1,6 +1,8 @@
 """Trace generation: determinism, prefix stability, file format."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -158,5 +160,92 @@ def test_load_ignores_whitespace(tmp_path):
 def test_load_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_text(body)
+    with pytest.raises(ValueError):
+        load_trace(path)
+
+
+ORACLE_RATES = (0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0)
+ORACLE_SEEDS = (0, 2**63 + 5, 2**64 - 1)
+
+
+def _oracle_mismatches():
+    """(q, n, seed) where draw_trace differs from a fresh Philox stream."""
+    bad = []
+    for q in ORACLE_RATES:
+        for seed in ORACLE_SEEDS:
+            for n in (1, 3, 4, 5, 2000):
+                rng = np.random.Generator(np.random.Philox(key=seed))
+                expected = (rng.random(n) < q).astype(np.uint8)
+                if not np.array_equal(draw_trace(q, n, seed).outcomes, expected):
+                    bad.append((q, n, seed))
+    return bad
+
+
+def test_draw_matches_fresh_generator_stream():
+    assert _oracle_mismatches() == []
+
+
+def test_draw_threshold_at_the_first_uniform():
+    # Rates on and just beside the first uniform u = (word >> 11) * 2^-53:
+    # the outcome is 1 iff u < q, exactly.
+    for seed in ORACLE_SEEDS + (12345, 2**64 - 7):
+        u = float(np.random.Philox(key=seed).random_raw(1)[0] >> np.uint64(11)) * 2.0**-53
+        for q, expected in ((np.nextafter(u, 0.0), 0), (u, 0),
+                            (np.nextafter(u, 1.0), 1)):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            assert draw_trace(float(q), 1, seed).outcomes.tolist() == [expected]
+            assert int(rng.random() < q) == expected
+
+
+def test_draw_matches_fresh_generator_stream_across_threads():
+    results = [None, None]
+
+    def worker(slot):
+        results[slot] = [_oracle_mismatches() for _ in range(20)]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[[]] * 20, [[]] * 20]
+
+
+def test_load_crlf_matches_lf(tmp_path):
+    trace = draw_trace(0.4, 250, 77)
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    save_trace(trace, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for path in (lf, crlf):
+        loaded = load_trace(path)
+        assert np.array_equal(loaded.outcomes, trace.outcomes)
+        assert (loaded.seed, loaded.true_rate) == (trace.seed, trace.true_rate)
+
+
+def test_load_skips_exactly_the_whitespace_split_skips(tmp_path):
+    path = tmp_path / "trace.txt"
+    spaces = [chr(c) for c in range(128) if chr(c).isspace()]
+    assert "".join(spaces) == "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+    path.write_bytes(b"n=3 q=unknown seed=4\n1" + "".join(spaces).encode() + b"01\n")
+    assert load_trace(path).outcomes.tolist() == [1, 0, 1]
+    for other in (b"\x00", b"\x1b", b"\x7f", b"\x85", b"\xa0"):
+        path.write_bytes(b"n=4 q=unknown seed=4\n10" + other + b"1\n")
+        with pytest.raises(ValueError):
+            load_trace(path)
+
+
+@pytest.mark.parametrize("data", [b"n=5 q=0.5 seed=1\n10\xc3\xa91\n",
+                                  b"n=3 q=0.5 seed=1\n1\xff0\n",
+                                  b"n=3 q=0.5 seed=1\n\x8010\n",
+                                  b"n=3 q=0.5 seed=1 \xe9\n101\n"])
+def test_load_rejects_non_ascii_bytes(tmp_path, data):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
     with pytest.raises(ValueError):
         load_trace(path)

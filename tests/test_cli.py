@@ -290,3 +290,24 @@ def test_diverging_general_simulate_writes_nothing_to_stderr(tmp_path, capfd):
     out, err = capfd.readouterr()
     assert err == ""
     assert _strict_json(out)["running_cost"] is None
+
+
+def test_repeated_main_matches_fresh_interpreters(plant_file, capsys):
+    # The parser is built once per process; later calls must not see the
+    # earlier ones.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    calls = (["sample-size", "--q", "0.9", "--rho", "2"],
+             ["verify-stability", "--plant", plant_file,
+              "--trace", "gen:0.9,2000,1", "--method", "exact"],
+             ["critical-rate", "--plant", plant_file, "--jreq", "10"],
+             ["sample-size", "--q", "0.9", "--rho", "2", "--bound", "bernstein"])
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "linkverify", *argv],
+                               env=dict(os.environ, PYTHONPATH=str(src)),
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-stability", "--plant", plant_file])
+    assert exc.value.code == 1
+    assert "--trace" in capsys.readouterr().err

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from linkverify import (Decision, ExperimentConfig, Method, PlantModel,
-                        hoeffding_sample_size, load_experiment_config,
+                        draw_trace, hoeffding_sample_size, load_experiment_config,
                         run_cost_experiment, run_stability_experiment,
                         save_plant, sweep_sample_complexity,
                         write_complexity_csv, write_ledger_csvs)
@@ -322,3 +323,28 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     }))
     with pytest.raises(ValueError):
         load_experiment_config(cfg_path)
+
+
+def test_success_counts_memory_stays_near_the_result():
+    # Outcomes are summed per block of trials, never as a per-outcome
+    # int64 prefix sum of the whole experiment.
+    cfg = small_config(n_grid=(10, 20, 50, 100, 200, 300, 500, 1000, 1500, 2000),
+                       trials=10_000)
+    tracemalloc.start()
+    try:
+        counts = _success_counts(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (10_000, 10)
+    assert peak < counts.nbytes + 512 * 1024
+
+
+def test_success_counts_match_per_trial_prefix_sums():
+    cfg = small_config(n_grid=(1, 7, 50, 51, 333), trials=37, seed=2**63 + 5)
+    expected = [np.cumsum(draw_trace(cfg.true_rate, 333, cfg.seed ^ t).outcomes)
+                [np.asarray(cfg.n_grid) - 1] for t in range(cfg.trials)]
+    assert np.array_equal(_success_counts(cfg), expected)
+    single = small_config(n_grid=(40,), trials=3)
+    assert _success_counts(single).tolist() == [
+        [draw_trace(0.9, 40, single.seed ^ t).successes] for t in range(3)]
