@@ -49,17 +49,32 @@ class ChannelTrace:
         if arr.ndim != 1:
             raise ValueError("outcomes must be a one-dimensional sequence")
         if arr.dtype == np.bool_:
-            # Binary by type (bytes 0/1 unless memory was reinterpreted as
-            # bool), so not scanned: frozen like uint8 input, read as uint8.
+            # Frozen like uint8 input and read as its bytes, which are 0/1
+            # unless memory was reinterpreted as bool: scanned all the same.
             arr.setflags(write=False)
             arr = arr.view(np.uint8)
-        elif arr.size and not np.all((arr == 0) | (arr == 1)):
+        if arr.size and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("outcomes must contain only 0 and 1")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
-        if not 0 <= int(self.seed) < _SEED_MAX:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
+
+    @classmethod
+    def _of_bits(cls, bits: np.ndarray, seed: int,
+                 true_rate: float | None) -> "ChannelTrace":
+        """A trace over a fresh 1-D array of bytes the caller knows are 0/1.
+
+        A comparison result or a file body already checked is not scanned
+        again; ``seed`` is checked by the caller too.
+        """
+        trace = object.__new__(cls)
+        bits = bits.view(np.uint8)
+        bits.setflags(write=False)
+        for name, value in (("outcomes", bits), ("seed", seed),
+                            ("true_rate", true_rate)):
+            object.__setattr__(trace, name, value)
+        return trace
 
     def __len__(self) -> int:
         return int(self.outcomes.size)
@@ -85,15 +100,20 @@ def draw_trace(q: float, n: int, seed: int) -> ChannelTrace:
         raise ValueError(f"success rate q={q} outside [0, 1]")
     if n < 1:
         raise ValueError("need at least one sample")
-    if not 0 <= int(seed) < _SEED_MAX:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    seed = _check_seed(seed)
     if q == 1.0:
         # The cut below would be 2^64; every uniform draw is below 1.
         outcomes = np.ones(int(n), dtype=np.bool_)
     else:
         cut = np.uint64(math.ceil(q * 2.0**53) << 11)
-        outcomes = _philox(int(seed)).random_raw(int(n)) < cut
-    return ChannelTrace(outcomes, seed=int(seed), true_rate=float(q))
+        outcomes = _philox(seed).random_raw(int(n)) < cut
+    return ChannelTrace._of_bits(outcomes, seed, float(q))
+
+
+def _check_seed(seed) -> int:
+    if not 0 <= int(seed) < _SEED_MAX:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return int(seed)
 
 
 def _philox(seed: int) -> np.random.Philox:
@@ -153,4 +173,4 @@ def load_trace(path) -> ChannelTrace:
     outcomes = np.frombuffer(digits, dtype=np.uint8) - ord("0")
     if outcomes.max() > 1:
         raise ValueError("trace body may contain only '0' and '1'")
-    return ChannelTrace(outcomes.view(np.bool_), seed=seed, true_rate=rate)
+    return ChannelTrace._of_bits(outcomes, _check_seed(seed), rate)

@@ -11,11 +11,12 @@ advances all drop runs of a trace in lockstep between resets.
 
 The general model with a nonzero closed loop is handled through the
 spectral radius of q*Ac(x)Ac + (1-q)*Ao(x)Ao, where (x) is the
-Kronecker product. Its state never resets, but each step is affine in
-the state, so its simulation is a blocked two-pass scan (Blelloch 1990,
-"Prefix sums and their applications"): about sqrt(N) chunks of about
-sqrt(N) steps advance together, first from zero to get each chunk's
-transition, then from the stitched true start states.
+Kronecker product; it crosses 1 only at the roots of one eigenproblem.
+Its state never resets, but each step is affine in the state, so its
+simulation is a blocked two-pass scan (Blelloch 1990, "Prefix sums and
+their applications"): about sqrt(N) chunks of about sqrt(N) steps
+advance together, first from zero to get each chunk's transition, then
+from the stitched true start states.
 """
 
 from __future__ import annotations
@@ -66,19 +67,15 @@ class PlantModel:
     w_cov: np.ndarray
 
     def __post_init__(self):
-        a_open = _as_square(self.a_open, "a_open")
-        n = a_open.shape[0]
-        a_closed = _as_square(self.a_closed, "a_closed")
-        q_weight = _as_square(self.q_weight, "q_weight")
-        w_cov = _as_square(self.w_cov, "w_cov")
-        for name, m in (("a_closed", a_closed), ("q_weight", q_weight),
-                        ("w_cov", w_cov)):
+        mats = {name: _as_square(getattr(self, name), name)
+                for name in ("a_open", "a_closed", "q_weight", "w_cov")}
+        n = mats["a_open"].shape[0]
+        for name, m in mats.items():
             if m.shape[0] != n:
                 raise ValueError(f"{name} dimension {m.shape[0]} != a_open dimension {n}")
-        _check_spd(q_weight, "q_weight")
-        _check_spd(w_cov, "w_cov")
-        for name, m in (("a_open", a_open), ("a_closed", a_closed),
-                        ("q_weight", q_weight), ("w_cov", w_cov)):
+        _check_spd(mats["q_weight"], "q_weight")
+        _check_spd(mats["w_cov"], "w_cov")
+        for name, m in mats.items():
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
@@ -86,10 +83,8 @@ class PlantModel:
     def simple(cls, a_open, q_weight=None, w_cov=None) -> "PlantModel":
         """Simple model: closed loop zero, Q/W default to identity."""
         a = _as_square(a_open, "a_open")
-        n = a.shape[0]
-        eye = np.eye(n)
-        return cls(a_open=a,
-                   a_closed=np.zeros((n, n)),
+        eye = np.eye(len(a))
+        return cls(a_open=a, a_closed=np.zeros_like(a),
                    q_weight=eye if q_weight is None else q_weight,
                    w_cov=eye if w_cov is None else w_cov)
 
@@ -103,9 +98,36 @@ class PlantModel:
 
     @cached_property
     def _kron_squares(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ac(x)Ac and Ao(x)Ao, built once per plant."""
+        """C = Ac(x)Ac and O = Ao(x)Ao, built once per plant."""
+        if self.dim > _KRON_DIM_CAP:
+            raise ValueError(f"dimension {self.dim} exceeds the Kronecker cap "
+                             f"{_KRON_DIM_CAP}")
         return (np.kron(self.a_closed, self.a_closed),
                 np.kron(self.a_open, self.a_open))
+
+    @cached_property
+    def _crossings(self) -> np.ndarray:
+        """Sorted rates in [0, 1] where rho(L_q), L_q = qC + (1-q)O, may meet s.
+
+        L_q keeps the PSD cone, so rho(L_q) is an eigenvalue (Krein-Rutman)
+        and meets s = 1 - 1e-12 only where det(L_q - sI) = 0: at q = q0 - 1/mu
+        for the real (or nearly real) eigenvalues mu of K^-1 (C - O), with
+        K = L_q0 - sI. A singular K makes q0 a root, found from the next q0;
+        K singular at both means an eigenvalue s at every q: none is stable.
+        """
+        closed_sq, open_sq = self._kron_squares
+        shift = (1.0 - _MARGINAL_BAND) * np.eye(len(open_sq))
+        for q0 in (0.5, 0.25):
+            try:
+                mu = np.linalg.eigvals(np.linalg.solve(
+                    q0 * closed_sq + (1.0 - q0) * open_sq - shift,
+                    closed_sq - open_sq))
+            except np.linalg.LinAlgError:
+                continue
+            mu = mu[(np.abs(mu.imag) <= 1e-6 * np.abs(mu)) & (mu != 0.0)].real
+            rates = q0 - 1.0 / mu
+            return np.sort(rates[(rates >= 0.0) & (rates <= 1.0)])
+        return np.empty(0)
 
     @cached_property
     def _open_radius(self) -> float:
@@ -147,23 +169,16 @@ def stability_threshold(plant: PlantModel) -> float:
     return 1.0 - 1.0 / (rho * rho)
 
 
-def kronecker_stable(plant: PlantModel, q: float,
-                     open_weight: float | None = None) -> bool:
+def kronecker_stable(plant: PlantModel, q: float) -> bool:
     """Mean-square stability of the general model at success rate q.
 
-    True iff rho(q*Ac(x)Ac + w*Ao(x)Ao) < 1, where the open-loop weight w
-    is 1-q unless given, with a 1e-12 guard band so marginal spectra
-    are never certified stable.
+    True iff rho(q*Ac(x)Ac + (1-q)*Ao(x)Ao) < 1, with a 1e-12 guard band
+    so marginal spectra are never certified stable.
     """
-    w = 1.0 - q if open_weight is None else open_weight
-    if not (0.0 <= q <= 1.0 and 0.0 <= w <= 1.0):
-        raise ValueError(f"weights q={q}, open_weight={w} outside [0, 1]")
-    if plant.dim > _KRON_DIM_CAP:
-        raise ValueError(f"dimension {plant.dim} exceeds the Kronecker cap "
-                         f"{_KRON_DIM_CAP}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} outside [0, 1]")
     closed_sq, open_sq = plant._kron_squares
-    mixed = q * closed_sq + w * open_sq
-    return spectral_radius(mixed) < 1.0 - _MARGINAL_BAND
+    return spectral_radius(q * closed_sq + (1.0 - q) * open_sq) < 1.0 - _MARGINAL_BAND
 
 
 def lyapunov_cost(plant: PlantModel, q: float) -> float:
@@ -333,14 +348,10 @@ def plant_from_dict(doc: dict) -> PlantModel:
         a_open = _matrix_from_json(doc["a_open"], n, "a_open")
     except KeyError as exc:
         raise ValueError(f"plant description missing required key {exc}") from exc
-    a_closed = (_matrix_from_json(doc["a_closed"], n, "a_closed")
-                if "a_closed" in doc else np.zeros((n, n)))
-    q_weight = (_matrix_from_json(doc["q_weight"], n, "q_weight")
-                if "q_weight" in doc else np.eye(n))
-    w_cov = (_matrix_from_json(doc["w_cov"], n, "w_cov")
-             if "w_cov" in doc else np.eye(n))
-    return PlantModel(a_open=a_open, a_closed=a_closed,
-                      q_weight=q_weight, w_cov=w_cov)
+    defaults = {"a_closed": np.zeros((n, n)), "q_weight": np.eye(n), "w_cov": np.eye(n)}
+    return PlantModel(a_open=a_open, **{
+        name: _matrix_from_json(doc[name], n, name) if name in doc else default
+        for name, default in defaults.items()})
 
 
 def load_plant(path) -> PlantModel:

@@ -7,20 +7,21 @@ target) is certified at the pessimistic end of the interval; Deny
 certifies its negation at the optimistic end; anything else is
 Undetermined, and the remedy is more samples. Wrong answers inherit the
 interval's per-side delta guarantee (for the methods that have one).
+A general plant has no single threshold: point tests at its finitely
+many stability crossings and between them decide the whole interval.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import ChannelTrace
 from .intervals import Method, RateInterval, build_interval
 from .sysmodel import PlantModel, kronecker_stable, lyapunov_cost, stability_threshold
-
-_PIECE_FLOOR = 1e-4  # general_test halves no rate piece narrower than this
 
 
 class Decision(enum.Enum):
@@ -118,28 +119,18 @@ def general_test(plant: PlantModel, trace: ChannelTrace, delta: float,
                  method: Method = Method.HOEFFDING) -> Verdict:
     """Mean-square stability of a general plant, certified over the whole interval.
 
-    With C = Ac(x)Ac and O = Ao(x)Ao, the second-moment operator is
-    L_q = qC + (1-q)O (Costa, Fragoso & Marques 2005). C and O keep the
-    PSD cone, where the spectral radius is monotone (Berman & Plemmons
-    1994, ch. 1), so on a rate piece [a, b] rho(aC + (1-b)O) <= rho(L_q)
-    <= rho(bC + (1-a)O). A piece whose upper bound is stable is
-    affirmed, one whose lower bound is not is denied, and others are
-    halved breadth-first, so both sides of a crossing are reached. Two
-    disagreeing pieces answer Undetermined, and so does an open piece
-    narrower than 1e-4, flagged "unresolved below 1e-4".
+    rho(L_q), L_q = q Ac(x)Ac + (1-q) Ao(x)Ao, stays on one side of the
+    guard-banded threshold between two of the plant's crossings, so one
+    point test at each crossing inside the interval and one in each gap
+    between them decide every rate: Affirm if all are stable, Deny if none
+    is, Undetermined otherwise.
     """
     interval = build_interval(trace, delta, method)
-    pieces, found = deque([(interval.lo, interval.hi)]), set()
-    while pieces and len(found) < 2:
-        a, b = pieces.popleft()
-        if kronecker_stable(plant, b, open_weight=1.0 - a):
-            found.add(Decision.AFFIRM)
-        elif not kronecker_stable(plant, a, open_weight=1.0 - b):
-            found.add(Decision.DENY)
-        elif b - a < _PIECE_FLOOR:
-            return Verdict(Decision.UNDETERMINED, interval, None, method,
-                           kind="general", flags=("unresolved below 1e-4",))
-        else:
-            pieces.extend(((a, (a + b) / 2), ((a + b) / 2, b)))
-    decision = found.pop() if len(found) == 1 else Decision.UNDETERMINED
+    crossings = plant._crossings
+    inside = crossings[(crossings > interval.lo) & (crossings < interval.hi)]
+    ends = np.r_[interval.lo, inside, interval.hi]
+    points = np.r_[inside, (ends[:-1] + ends[1:]) / 2]
+    found = {kronecker_stable(plant, float(q)) for q in points}
+    decision = (Decision.UNDETERMINED if len(found) == 2
+                else Decision.AFFIRM if found.pop() else Decision.DENY)
     return Verdict(decision, interval, None, method, kind="general")

@@ -98,6 +98,12 @@ def test_trace_rejects_non_binary():
             ChannelTrace(outcomes)
 
 
+def test_trace_rejects_bool_array_over_non_binary_bytes():
+    # A bool view of the bytes 2, 1 would otherwise count 3 successes in 2.
+    with pytest.raises(ValueError):
+        ChannelTrace(np.array([2, 1], np.uint8).view(bool))
+
+
 @pytest.mark.parametrize("outcomes", [[True, False, True], [1, 0, 1],
                                       np.array([1.0, 0.0, 1.0])])
 def test_trace_accepts_binary_input(outcomes):

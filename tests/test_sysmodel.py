@@ -139,6 +139,44 @@ def test_kronecker_dimension_cap():
         kronecker_stable(plant, 0.5)
 
 
+# Stability crossings of general plants
+
+S = 1.0 - 1e-12  # the guard-banded threshold the crossings are found for
+
+
+def test_crossings_scalar_closed_form():
+    # L_q = q c^2 + (1-q) a^2 meets s at q = (a^2 - s) / (a^2 - c^2).
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, c = float(rng.uniform(1.05, 3.0)), float(rng.uniform(0.0, 0.95))
+        plant = PlantModel(a_open=[[a]], a_closed=[[c]], q_weight=[[1.0]],
+                           w_cov=[[1.0]])
+        (crossing,) = plant._crossings
+        assert crossing == pytest.approx((a * a - S) / (a * a - c * c), abs=1e-12)
+
+
+def test_crossings_of_simple_plant_end_at_threshold():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        plant = PlantModel.simple(rng.normal(size=(3, 3)))
+        threshold = stability_threshold(plant)
+        if not 0.0 < threshold < 1.0:
+            continue
+        assert plant._crossings.max() == pytest.approx(threshold, abs=1e-11)
+
+
+def test_crossings_respect_dimension_cap_before_any_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("d^2-sized work before the dimension check")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    plant = PlantModel(a_open=np.eye(33), a_closed=0.5 * np.eye(33),
+                       q_weight=np.eye(33), w_cov=np.eye(33))
+    with pytest.raises(ValueError, match="Kronecker cap"):
+        plant._crossings
+
+
 # Lyapunov cost
 
 def test_lyapunov_scalar_cases():

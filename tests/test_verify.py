@@ -134,14 +134,10 @@ def test_general_mixed_interval():
     assert verdict.interval.lo == pytest.approx(0.7, abs=1e-12)
     assert verdict.interval.hi == pytest.approx(0.9, abs=1e-12)
     assert verdict.decision is Decision.UNDETERMINED
-    # Breadth-first pieces reach both sides of the crossing long before
-    # the 1e-4 floor.
     assert verdict.flags == ()
 
 
-def test_general_one_bound_test_per_decisive_piece(monkeypatch):
-    # A stable simple plant is affirmed by one eigensolve at the lower
-    # end, an unstable one denied by two; neither is bisected.
+def count_point_tests(monkeypatch) -> list:
     calls = []
     point_test = verify.kronecker_stable
 
@@ -150,11 +146,18 @@ def test_general_one_bound_test_per_decisive_piece(monkeypatch):
         return point_test(*args, **kwargs)
 
     monkeypatch.setattr(verify, "kronecker_stable", counted)
+    return calls
+
+
+def test_general_one_bound_test_per_decisive_piece(monkeypatch):
+    # With the crossing 0.75 outside both intervals, a stable simple plant
+    # is affirmed and an unstable one denied by one eigensolve each.
+    calls = count_point_tests(monkeypatch)
     plant = PlantModel.simple([[2.0]])
     assert general_test(plant, trace_of(1800, 2000), 1e-3).decision is Decision.AFFIRM
     assert len(calls) == 1
     assert general_test(plant, trace_of(1000, 2000), 1e-3).decision is Decision.DENY
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_general_finds_unstable_pocket_between_grid_points():
@@ -169,7 +172,54 @@ def test_general_finds_unstable_pocket_between_grid_points():
     verdict = general_test(plant, trace_of(101, 200), 1e-3)
     assert verdict.interval.lo < 0.5 < verdict.interval.hi
     assert verdict.decision is Decision.UNDETERMINED
-    assert verdict.flags == ("unresolved below 1e-4",)
+    assert verdict.flags == ()
+    below, above = plant._crossings
+    assert 0.5 - 1e-5 < below < 0.5 < above < 0.5 + 1e-5
+
+
+def test_general_near_marginal_plant_takes_one_point_test(monkeypatch):
+    # Ac = Ao gives L_q = O for every q: no crossing, so one eigensolve
+    # decides all of [0, 1].
+    calls = count_point_tests(monkeypatch)
+    a = math.sqrt(0.9999) * np.eye(2)
+    plant = PlantModel(a_open=a, a_closed=a, q_weight=np.eye(2), w_cov=np.eye(2))
+    verdict = general_test(plant, trace_of(1, 2), 1e-3)
+    assert (verdict.interval.lo, verdict.interval.hi) == (0.0, 1.0)
+    assert verdict.decision is Decision.AFFIRM
+    assert len(calls) <= 2
+
+
+def test_general_orthogonal_plant_is_denied():
+    # rho(L_q) = 1 at every rate, never certified stable.
+    t = 0.3
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    plant = PlantModel(a_open=rot, a_closed=rot, q_weight=np.eye(2), w_cov=np.eye(2))
+    assert general_test(plant, trace_of(120, 200), 1e-3).decision is Decision.DENY
+
+
+def test_general_verdict_when_shift_matrix_is_singular():
+    # An ulp search finds a scalar plant whose K = 0.5 c^2 + 0.5 a^2 - s is
+    # exactly 0, so that the rate 0.5 tried first is itself the crossing.
+    c, s = 0.7, 1.0 - 1e-12
+    a0 = math.sqrt(2.0 * s - c * c)
+    a = next(x for x in a0 + np.arange(-8, 9) * np.spacing(a0)
+             if 0.5 * (c * c) + 0.5 * (x * x) - s == 0.0)
+    plant = PlantModel(a_open=[[a]], a_closed=[[c]], q_weight=[[1.0]],
+                       w_cov=[[1.0]])
+    (crossing,) = plant._crossings
+    assert crossing == pytest.approx(0.5, abs=1e-12)
+    assert general_test(plant, trace_of(100, 200), 1e-3).decision is Decision.UNDETERMINED
+    assert general_test(plant, trace_of(1800, 2000), 1e-3).decision is Decision.AFFIRM
+
+
+def test_general_denies_an_eigenvalue_at_the_threshold_for_every_rate():
+    # Ao(x)Ao and Ac(x)Ac share the eigenvalue s = 1 - 1e-12, so
+    # det(L_q - sI) vanishes at every q and no rate is stable.
+    s = 1.0 - 1e-12
+    plant = PlantModel(a_open=np.diag([s, 1.0]), a_closed=np.diag([1.0, s]),
+                       q_weight=np.eye(2), w_cov=np.eye(2))
+    for k in (20, 100, 190):
+        assert general_test(plant, trace_of(k, 200), 1e-3).decision is Decision.DENY
 
 
 def test_general_decisive_answers_hold_on_a_dense_grid():
@@ -194,8 +244,7 @@ def test_general_decisive_answers_hold_on_a_dense_grid():
         decided[verdict.decision] += 1
         if verdict.decision is Decision.UNDETERMINED:
             continue
-        # Both ends, then midpoints of 2.5e-5-wide cells: offset from the
-        # dyadic piece ends and four times finer than the piece floor.
+        # Both ends, then midpoints of 2.5e-5-wide cells.
         lo, hi = verdict.interval.lo, verdict.interval.hi
         m = max(1, math.ceil((hi - lo) / 2.5e-5))
         q = np.r_[lo, hi, lo + (np.arange(m) + 0.5) * (hi - lo) / m][:, None, None]
