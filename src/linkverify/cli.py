@@ -81,7 +81,7 @@ def _cmd_critical_rate(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
-    if args.rho <= 0.0:
+    if not args.rho > 0.0:
         raise ValueError("spectral radius must be positive")
     spec = MarginSpec(args.q, 1.0 - 1.0 / (args.rho * args.rho), args.delta)
     size = hoeffding_sample_size if args.bound == "hoeffding" else bernstein_sample_size

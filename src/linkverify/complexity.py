@@ -35,9 +35,9 @@ class MarginSpec:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
         margin = abs(self.q - self.threshold)
-        if margin <= 0.0:
-            raise ValueError("margin is zero: the rate sits exactly on the "
-                             "critical value, which the guarantees exclude")
+        if not margin > 0.0:
+            raise ValueError(f"margin is {margin}, not positive; the guarantees "
+                             "exclude a rate on the critical value")
         object.__setattr__(self, "margin", margin)
 
 

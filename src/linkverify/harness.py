@@ -30,8 +30,8 @@ from .channel import draw_trace
 from .complexity import (MarginSpec, bernstein_sample_size, correctness_bound,
                          hoeffding_sample_size)
 from .intervals import Method, _check_delta, interval_from_counts
-from .sysmodel import (PlantModel, critical_rate, load_plant, lyapunov_cost,
-                       plant_from_dict, stability_threshold)
+from .sysmodel import (PlantModel, _integer, critical_rate, load_plant,
+                       lyapunov_cost, plant_from_dict, stability_threshold)
 from .verify import Decision, decide_cost, decide_stability
 
 DEFAULT_N_GRID = (10, 20, 50, 100, 200, 300, 500, 1000, 1500, 2000)
@@ -39,15 +39,6 @@ DEFAULT_DELTA = 1e-3
 DEFAULT_TRIALS = 1000
 # Trials per reduceat; the int64 cast of a block is _BLOCK * 8 bytes per outcome.
 _BLOCK = 16
-
-
-def _integer(value, key: str) -> int:
-    """An int or an integral float such as 2e3; no bool, string or fraction."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.j_req is not None and self.j_req <= 0.0:
-            raise ValueError("j_req must be positive")
+        if self.j_req is not None and not self.j_req > 0.0:
+            raise ValueError(f"j_req must be positive, got {self.j_req}")
 
 
 @dataclass(frozen=True)

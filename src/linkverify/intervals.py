@@ -4,21 +4,23 @@ Four constructions are supported, all producing a [lo, hi] interval
 clipped to [0, 1] whose endpoints are one-sided 1-delta bounds:
 
 * ``hoeffding``: distribution-free, half-width sqrt(log(1/d)/(2N)).
-  Wrong-side escapes are bounded by delta for every N.
+  Wrong-side escapes are bounded by delta at every fixed N.
 * ``bernstein-fast``: half-width log(1/d)/N. Shrinks faster than the
-  Hoeffding width but forfeits the for-all-N wrong-answer guarantee;
-  advantageous only for low-variance (very reliable or very unreliable)
-  links.
+  Hoeffding width but forfeits the wrong-answer guarantee at every
+  fixed N; advantageous only for low-variance (very reliable or very
+  unreliable) links.
 * ``exact``: inverts the binomial tail (one-sided Clopper-Pearson) for
   delta <= 0.5, where the two bounds do not cross. Keeps the per-side
   delta guarantee; less conservative than Hoeffding away from the extremes.
 * ``normal``: Wald interval from the CLT, half-width
   z(d) * sqrt(m(1-m)/N). No finite-sample guarantee; least conservative.
 
-The exact method inverts binomial tails by bisection. Each tail is
-summed on its light side, never as 1 minus a sum near 1, and only over
-an O(sqrt(N)) window around its largest mass, grown until a geometric
-bound on the dropped mass is below 1e-18 of that peak. Tails keep about
+The exact method inverts one tail, P(Bin(N, q) >= k), by 40 halvings
+of [0, 1]; the upper end for k successes is 1 minus the lower end for
+N - k, as P(Bin(N, q) <= k) = P(Bin(N, 1 - q) >= N - k). The tail is
+summed on its light side, never as 1 minus a sum near 1, over an
+O(sqrt(N)) window around its largest mass that grows until a geometric
+bound on the dropped mass is below 1e-18 of that peak. It keeps about
 1e-11 relative accuracy up to N = 2e6.
 """
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from .channel import ChannelTrace
 
-_BISECT_WIDTH = 1e-12  # comfortably inside the 1e-10 contract
 _NORMAL = NormalDist()
 
 
@@ -118,8 +119,9 @@ def interval_from_counts(method: Method, successes: int, n: int,
     q_hat = successes / n
 
     if method is Method.EXACT_BINOMIAL:
-        lo = 0.0 if successes == 0 else _solve_lower(successes, n, delta)
-        hi = 1.0 if successes == n else _solve_upper(successes, n, delta)
+        # P(Bin(n, q) <= k) = P(Bin(n, 1 - q) >= n - k), so hi mirrors lo.
+        lo = 0.0 if successes == 0 else _lower_end(successes, n, delta)
+        hi = 1.0 if successes == n else 1.0 - _lower_end(n - successes, n, delta)
     else:
         if method is Method.HOEFFDING:
             hw = math.sqrt(math.log(1.0 / delta) / (2.0 * n))
@@ -153,13 +155,6 @@ def binom_tail_upper(n: int, k: int, q: float) -> float:
     if k > n * q:
         return min(1.0, _mass_sum(n, k, n, q))
     return max(0.0, 1.0 - _mass_sum(n, 0, k - 1, q))
-
-
-def binom_tail_lower(n: int, k: int, q: float) -> float:
-    """P(Bin(n, q) <= k), summed on the light side."""
-    if 0.0 < q < 1.0 and 0 <= k < n * q:
-        return min(1.0, _mass_sum(n, 0, k, q))
-    return 1.0 - binom_tail_upper(n, k + 1, q)
 
 
 def _mass_sum(n: int, a: int, b: int, q: float) -> float:
@@ -213,25 +208,15 @@ def _deviance(x: int, mean: float) -> float:
     return mean * ((1.0 + u) * math.log1p(u) - u)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of a sign-changing monotone function on [lo, hi]."""
-    flo = f(lo)
-    for _ in range(100):
-        if hi - lo <= _BISECT_WIDTH:
-            break
+def _lower_end(k: int, n: int, delta: float) -> float:
+    """The q with P(Bin(n, q) >= k) = delta, 1 <= k <= n, to 2^-41."""
+    # The tail rises with q. Every midpoint is a multiple of 2^-41, so
+    # 1 minus the result is exact.
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
+        if binom_tail_upper(n, k, mid) > delta:
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
-
-
-def _solve_lower(k: int, n: int, delta: float) -> float:
-    # P(Bin(n, q) >= k) is increasing in q: 0 at q=0 (k >= 1), 1 at q=1.
-    return _bisect(lambda q: binom_tail_upper(n, k, q) - delta, 0.0, 1.0)
-
-
-def _solve_upper(k: int, n: int, delta: float) -> float:
-    # P(Bin(n, q) <= k) is decreasing in q: 1 at q=0, 0 at q=1 (k < n).
-    return _bisect(lambda q: binom_tail_lower(n, k, q) - delta, 0.0, 1.0)

@@ -217,8 +217,8 @@ def critical_rate(plant: PlantModel, j_req: float) -> float | None:
     the target and is never evaluated.
     """
     _require_simple(plant, "critical_rate")
-    if j_req <= 0.0:
-        raise ValueError("cost target must be positive")
+    if not j_req > 0.0:
+        raise ValueError(f"cost target must be positive, got {j_req}")
     j_perfect = float(np.trace(plant.q_weight @ plant.w_cov))
     if j_perfect > j_req:
         return None
@@ -327,6 +327,15 @@ def simulate(plant: PlantModel, trace: ChannelTrace, seed: int) -> Trajectory:
 # Matrices may be nested rows or flat row-major lists; a_closed defaults
 # to zero and q_weight/w_cov default to identity.
 
+def _integer(value, key: str) -> int:
+    """An int or an integral float such as 2e3; no bool, string or fraction."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_from_json(value, n: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape == (n * n,):
@@ -344,7 +353,9 @@ def plant_from_dict(doc: dict) -> PlantModel:
     if unknown:
         raise ValueError(f"unknown plant keys: {sorted(unknown)}")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
+        if n < 1:
+            raise ValueError(f"'n' must be positive, got {n}")
         a_open = _matrix_from_json(doc["a_open"], n, "a_open")
     except KeyError as exc:
         raise ValueError(f"plant description missing required key {exc}") from exc

@@ -108,8 +108,8 @@ def decide_cost(plant: PlantModel, j_req: float,
 def cost_test(plant: PlantModel, trace: ChannelTrace, delta: float,
               j_req: float, method: Method = Method.HOEFFDING) -> Verdict:
     """Decide whether the average quadratic cost meets the target."""
-    if j_req <= 0.0:
-        raise ValueError("cost target must be positive")
+    if not j_req > 0.0:
+        raise ValueError(f"cost target must be positive, got {j_req}")
     interval = build_interval(trace, delta, method)
     return Verdict(decide_cost(plant, j_req, interval), interval, j_req,
                    method, kind="cost")

@@ -15,9 +15,11 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from linkverify import (ChannelTrace, Decision, ExperimentConfig, MarginSpec,
                         correctness_bound, critical_rate, draw_trace,
                         hoeffding_sample_size, kronecker_stable, lyapunov_cost,
                         run_cost_experiment, run_stability_experiment,
-                        simulate, spectral_radius, stability_threshold)
+                        simulate, spectral_radius, stability_threshold,
+                        write_ledger_csvs)
 from linkverify.intervals import interval_from_counts
 
 SCALAR_2 = PlantModel.simple([[2.0]])
@@ -74,6 +77,15 @@ def near_critical_run():
     start = time.perf_counter()
     ledger = run_stability_experiment(cfg)
     return cfg, ledger, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def cost_run():
+    cfg = ExperimentConfig(
+        plant=SCALAR_2, true_rate=0.95, delta=0.01, j_req=2.0,
+        n_grid=(10, 20, 50, 100, 200, 300, 500, 1000, 1500, 1638, 2000),
+        trials=1000, methods=(Method.HOEFFDING,), seed=909)
+    return cfg, run_cost_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -231,14 +243,10 @@ def test_criterion_08_exact_interval_inversion():
             checked += 1
 
 
-def test_criterion_09_cost_monte_carlo():
+def test_criterion_09_cost_monte_carlo(cost_run):
+    cfg, ledger = cost_run
     with criterion(9, "cost verdicts: wrong rate within 1%; correct by the "
                       "predicted 1638 samples"):
-        cfg = ExperimentConfig(
-            plant=SCALAR_2, true_rate=0.95, delta=0.01, j_req=2.0,
-            n_grid=(10, 20, 50, 100, 200, 300, 500, 1000, 1500, 1638, 2000),
-            trials=1000, methods=(Method.HOEFFDING,), seed=909)
-        ledger = run_cost_experiment(cfg)
         assert ledger.extras["thm_sample_size"] == 1638
         for n in cfg.n_grid:
             rate = ledger.wrong_rate(Method.HOEFFDING, n)
@@ -294,3 +302,42 @@ def test_criterion_11_variance_aware_sample_size():
             assert ratio >= 2.0
             assert ratio > previous
             previous = ratio
+
+
+# SHA-256 of correct_rate.csv, wrong_rate.csv and bound.csv for the
+# near-critical experiment (seeds 555, 99, 7) and the criterion-9 cost
+# experiment (seeds 909, 12345). Any change to a draw, a verdict or the
+# CSV format shows here.
+_NEAR_BOUND = "c6dfcd1a16d750564a811dbb933d0ed5396e3bade069fe16f0ab72653dc52022"
+_COST_BOUND = "8175c97baecb1128a62aa6d4586ad9d7392e016260eba9863bf862bd22713ce9"
+_COST_WRONG = "ae18110b121db195b530873c2a995d22c4e885bc79c7a15552afaa2d669b4cd0"
+PINNED_CSVS = {
+    555: ("418789de2435b98863609cf928cb2f8f00dc75024ee08cfdc6e58f2ba1b6b275",
+          "68f127ede16caded0216533aece4ca032be87e0c028ad28c8d6e4bfac1b193bc",
+          _NEAR_BOUND),
+    99: ("df9503f6aa40866069cc42925fe57f63b705d56367419a7836f75774f067c833",
+         "6aa44834280ae3a10d4ceaaf9c3586ad1c6481296e63377d0319aed0c53ef082",
+         _NEAR_BOUND),
+    7: ("23e2b6148b9632ab49080f64b0f29da6ebd66f73edd9c274b80693402076dbf3",
+        "3bf517a245155c2be87477ee54a316432a4aa95e3b9f3bf7c9f420d85c5b446d",
+        _NEAR_BOUND),
+    909: ("daee35124c687ae30cf6f0715588a7aec67c71d0a556955762bb536ffc728d49",
+          _COST_WRONG, _COST_BOUND),
+    12345: ("a05aca976c10ffcc1475d32171ba2b9c980959ce21f1802810c6586cffe84c0c",
+            _COST_WRONG, _COST_BOUND),
+}
+
+
+def test_acceptance_csvs_are_byte_identical(near_critical_run, cost_run, tmp_path):
+    near_cfg, near_ledger, _ = near_critical_run
+    cost_cfg, cost_ledger = cost_run
+    ledgers = {555: near_ledger, 909: cost_ledger,
+               12345: run_cost_experiment(replace(cost_cfg, seed=12345))}
+    for seed in (99, 7):
+        ledgers[seed] = run_stability_experiment(replace(near_cfg, seed=seed))
+    for seed, ledger in ledgers.items():
+        out = tmp_path / str(seed)
+        write_ledger_csvs(ledger, out)
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("correct_rate.csv", "wrong_rate.csv", "bound.csv"))
+        assert digests == PINNED_CSVS[seed], f"seed {seed}"

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -161,6 +162,28 @@ def test_input_errors_exit_1(plant_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-cost", "--trace", "gen:0.95,4000,3", "--jreq", "nan"],
+    ["critical-rate", "--jreq", "nan"],
+    ["sample-size", "--q", "0.9", "--rho", "nan"],
+])
+def test_nan_targets_exit_1(plant_file, capsys, argv):
+    if argv[0] != "sample-size":
+        argv = argv[:1] + ["--plant", plant_file] + argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_plant_file_with_fractional_dimension_exits_1(tmp_path, capsys):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"n": 2.7, "a_open": [[1.0, 0.0], [0.0, 1.0]]}))
+    code, out, err = run_cli(capsys, "verify-stability", "--plant", str(path),
+                             "--trace", "gen:0.9,100,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "'n'" in err
+
+
 def test_usage_errors_exit_1(plant_file, capsys):
     # argparse's own code 2 would read as an Undetermined verdict.
     for argv in (["verify-stability", "--plant", plant_file],
@@ -210,6 +233,8 @@ def test_simulate_near_threshold(plant_file, capsys):
     ("experiment", {"plant": "plant.json", "true_rate": 0.9, "n_grid": ["10"]}),
     ("experiment", {"plant": "plant.json", "true_rate": 0.9, "delta": 0.6,
                     "methods": ["hoeffding", "exact"]}),
+    # json.dumps writes the NaN literal, and json.load reads it back.
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "j_req": math.nan}),
 ])
 def test_malformed_configs_exit_1(tmp_path, capsys, command, doc):
     save_plant(SCALAR_2, tmp_path / "plant.json")

@@ -38,6 +38,11 @@ def test_margin_spec_validation():
         MarginSpec(0.9, 0.75, 1.5)
 
 
+def test_margin_spec_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="margin"):
+        MarginSpec(0.9, math.nan, 0.01)
+
+
 def test_correctness_bound_frozen():
     assert correctness_bound(spec_for(0.9, 2.0, 1e-3), 500) == pytest.approx(
         0.9885970505680715, abs=1e-9)

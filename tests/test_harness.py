@@ -185,6 +185,11 @@ def test_config_validation():
         small_config(delta=0.0)
 
 
+def test_config_rejects_nan_cost_target():
+    with pytest.raises(ValueError, match="j_req"):
+        small_config(j_req=math.nan)
+
+
 def test_config_constructor_checks_integer_fields():
     cfg = small_config(n_grid=(10, 2e1, np.int64(50)), trials=2e3, seed=7.0)
     assert cfg.n_grid == (10, 20, 50) and cfg.trials == 2000 and cfg.seed == 7

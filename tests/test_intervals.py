@@ -11,7 +11,7 @@ from scipy.special import ndtri
 
 from linkverify import (ChannelTrace, Method, bernstein_tail, build_interval,
                         hoeffding_tail)
-from linkverify.intervals import (_mass_sum, binom_tail_lower, binom_tail_upper,
+from linkverify.intervals import (_mass_sum, binom_tail_upper,
                                   interval_from_counts)
 
 
@@ -132,9 +132,11 @@ def test_binom_tails_match_scipy_at_large_n():
         target = 10.0 ** rng.uniform(-13.0, -0.3)
         k_up = int(scipy.stats.binom.isf(target, n, q)) + 1
         k_lo = int(scipy.stats.binom.ppf(target, n, q)) - 1
+        p = 1.0 - q  # the mirrored tail, P(Bin(n, p) >= n - k) = P(Bin(n, q) <= k)
         for k in (k_up, k_lo):
             for tail, ref in ((binom_tail_upper(n, k, q), scipy.stats.binom.sf(k - 1, n, q)),
-                              (binom_tail_lower(n, k, q), scipy.stats.binom.cdf(k, n, q))):
+                              (binom_tail_upper(n, n - k, p),
+                               scipy.stats.binom.sf(n - k - 1, n, p))):
                 assert tail == pytest.approx(float(ref), abs=1e-11)
                 if ref > 1e-12:
                     assert tail == pytest.approx(float(ref), rel=1e-9, abs=0.0)

@@ -11,6 +11,7 @@ import scipy.linalg
 from linkverify import (ChannelTrace, PlantModel, critical_rate, draw_trace,
                         kronecker_stable, load_plant, lyapunov_cost, save_plant,
                         simulate, spectral_radius, stability_threshold)
+from linkverify.sysmodel import plant_from_dict
 
 
 def random_stable_instance(rng, max_dim=4):
@@ -247,6 +248,11 @@ def test_critical_rate_edges():
         critical_rate(plant, 0.0)
 
 
+def test_critical_rate_rejects_nan_target():
+    with pytest.raises(ValueError, match="cost target"):
+        critical_rate(PlantModel.simple([[2.0]]), math.nan)
+
+
 def test_critical_rate_contractive_plant():
     # A contractive open loop may meet a loose target at rate zero.
     plant = PlantModel.simple([[0.5]])
@@ -429,6 +435,16 @@ def test_plant_file_defaults_and_flat_layout(tmp_path):
     assert not plant.a_closed.any()
     assert np.array_equal(plant.q_weight, np.eye(2))
     assert np.array_equal(plant.w_cov, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [2.7, True, "2", 0, -1])
+def test_plant_dimension_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="'n'"):
+        plant_from_dict({"n": n, "a_open": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_plant_dimension_may_be_an_integral_float():
+    assert plant_from_dict({"n": 2.0, "a_open": [[1.0, 0.0], [0.0, 1.0]]}).dim == 2
 
 
 def test_plant_file_rejects_unknown_keys(tmp_path):

@@ -75,6 +75,12 @@ def test_cost_verdicts(successes, expected):
     assert verdict.threshold_or_target == 2.0
 
 
+@pytest.mark.parametrize("j_req", [math.nan, 0.0, -1.0])
+def test_cost_test_rejects_a_target_that_is_not_positive(j_req):
+    with pytest.raises(ValueError, match="cost target"):
+        cost_test(SCALAR_2, trace_of(1800, 2000), 1e-3, j_req=j_req)
+
+
 def test_cost_deny_on_unstable_interval_end():
     # hi below the stability threshold: the cost there is infinite.
     verdict = cost_test(SCALAR_2, trace_of(600, 2000), 1e-3, j_req=100.0)
