@@ -9,7 +9,7 @@ such decisions need.
 
 from .channel import ChannelTrace, draw_trace, load_trace, sample_mean, save_trace
 from .complexity import (MarginSpec, bernstein_sample_size, correctness_bound,
-                         hoeffding_sample_size, low_variance_regime)
+                         hoeffding_sample_size)
 from .harness import (ExperimentConfig, TrialLedger, load_experiment_config,
                       run_cost_experiment, run_stability_experiment,
                       sweep_sample_complexity, write_complexity_csv,
@@ -32,7 +32,7 @@ __all__ = [
     "critical_rate", "simulate", "load_plant", "save_plant",
     "Decision", "Verdict", "stability_test", "cost_test", "general_test",
     "MarginSpec", "correctness_bound", "hoeffding_sample_size",
-    "bernstein_sample_size", "low_variance_regime",
+    "bernstein_sample_size",
     "ExperimentConfig", "TrialLedger", "run_stability_experiment",
     "run_cost_experiment",
     "sweep_sample_complexity", "write_ledger_csvs", "write_complexity_csv",

@@ -29,7 +29,8 @@ from .harness import (load_experiment_config, load_sweep_config,
                       sweep_sample_complexity, write_complexity_csv,
                       write_ledger_csvs)
 from .intervals import Method
-from .sysmodel import critical_rate, load_plant, lyapunov_cost, simulate
+from .sysmodel import (_radius_threshold, critical_rate, load_plant,
+                       lyapunov_cost, simulate)
 from .verify import Decision, cost_test, general_test, stability_test
 
 # Salt that separates the disturbance stream from the packet stream when
@@ -81,9 +82,7 @@ def _cmd_critical_rate(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
-    if not args.rho > 0.0:
-        raise ValueError("spectral radius must be positive")
-    spec = MarginSpec(args.q, 1.0 - 1.0 / (args.rho * args.rho), args.delta)
+    spec = MarginSpec(args.q, _radius_threshold(args.rho), args.delta)
     size = hoeffding_sample_size if args.bound == "hoeffding" else bernstein_sample_size
     print(size(spec))
     return 0

@@ -60,9 +60,22 @@ def hoeffding_sample_size(spec: MarginSpec) -> int:
     return math.ceil(2.0 * math.log(1.0 / spec.delta) / (spec.margin ** 2))
 
 
+def _first(holds, lo: int, hi: int) -> int:
+    """Smallest k in [lo, hi) where the monotone predicate holds, else hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _bernstein_ok(spec: MarginSpec, n: int) -> bool:
     eps = spec.margin - math.log(1.0 / spec.delta) / n
-    return eps > 0.0 and bernstein_tail(n, eps, spec.q) <= spec.delta
+    # An infinite margin (threshold -inf) makes the tail inf/inf = nan,
+    # whose limit is 0: it holds there.
+    return eps > 0.0 and not bernstein_tail(n, eps, spec.q) > spec.delta
 
 
 def bernstein_sample_size(spec: MarginSpec) -> int:
@@ -78,20 +91,4 @@ def bernstein_sample_size(spec: MarginSpec) -> int:
     hi = start
     while not _bernstein_ok(spec, hi):
         hi *= 2
-        if hi > 2**62:  # pragma: no cover - unreachable for valid specs
-            raise RuntimeError("sample-size search diverged")
-    lo = start - 1  # eps <= 0 there, so the predicate is false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _bernstein_ok(spec, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def low_variance_regime(spec: MarginSpec, c: float) -> bool:
-    """Whether q(1-q) <= c * margin, the regime where the fast bound wins."""
-    if c <= 0.0:
-        raise ValueError("constant c must be positive")
-    return spec.q * (1.0 - spec.q) <= c * spec.margin
+    return _first(lambda n: _bernstein_ok(spec, n), start, hi)

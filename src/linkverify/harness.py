@@ -20,18 +20,18 @@ comparisons, keeping 10k-trial runs with exact intervals fast.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import draw_trace
-from .complexity import (MarginSpec, bernstein_sample_size, correctness_bound,
-                         hoeffding_sample_size)
+from .complexity import (MarginSpec, _first, bernstein_sample_size,
+                         correctness_bound, hoeffding_sample_size)
 from .intervals import Method, _check_delta, interval_from_counts
-from .sysmodel import (PlantModel, _integer, critical_rate, load_plant,
-                       lyapunov_cost, plant_from_dict, stability_threshold)
+from .sysmodel import (PlantModel, _check_target, _integer, _radius_threshold,
+                       _real, critical_rate, load_plant, lyapunov_cost,
+                       plant_from_dict, stability_threshold)
 from .verify import Decision, decide_cost, decide_stability
 
 DEFAULT_N_GRID = (10, 20, 50, 100, 200, 300, 500, 1000, 1500, 2000)
@@ -54,6 +54,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for key in ("true_rate", "delta"):
+            object.__setattr__(self, key, _real(getattr(self, key), key))
         if not 0.0 <= self.true_rate <= 1.0:
             raise ValueError(f"true_rate={self.true_rate} outside [0, 1]")
         if np.ndim(self.n_grid) != 1:
@@ -75,8 +77,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.j_req is not None and not self.j_req > 0.0:
-            raise ValueError(f"j_req must be positive, got {self.j_req}")
+        if self.j_req is not None:
+            object.__setattr__(self, "j_req", _real(self.j_req, "j_req"))
+            _check_target(self.j_req)
 
 
 @dataclass(frozen=True)
@@ -136,17 +139,6 @@ def _success_counts(cfg: ExperimentConfig) -> np.ndarray:
     return counts
 
 
-def _first(holds, lo: int, hi: int) -> int:
-    """Smallest k in [lo, hi) where the monotone predicate holds, else hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _tally(cfg: ExperimentConfig, truth: Decision,
            decide) -> dict[tuple[str, int], Cell]:
     counts = _success_counts(cfg)
@@ -172,13 +164,10 @@ def run_stability_experiment(cfg: ExperimentConfig) -> TrialLedger:
         raise ValueError("true_rate sits exactly on the stability threshold; "
                          "ground truth is undefined there")
     truth = Decision.AFFIRM if cfg.true_rate > threshold else Decision.DENY
-    if math.isfinite(threshold):
-        spec = MarginSpec(cfg.true_rate, threshold, cfg.delta)
-        bound = {n: correctness_bound(spec, n) for n in cfg.n_grid}
-    else:
-        # Nilpotent open loop: the test affirms unconditionally and is
-        # always correct, so the bound is exactly one.
-        bound = {n: 1.0 for n in cfg.n_grid}
+    # A nilpotent open loop has threshold -inf, so an infinite margin and
+    # a bound of exactly one: the test always affirms, correctly.
+    spec = MarginSpec(cfg.true_rate, threshold, cfg.delta)
+    bound = {n: correctness_bound(spec, n) for n in cfg.n_grid}
     cells = _tally(cfg, truth, lambda iv: decide_stability(threshold, iv))
     return TrialLedger(cfg, cells, bound)
 
@@ -218,17 +207,12 @@ def sweep_sample_complexity(axis: str, grid, *, q: float = 0.9,
     """
     if axis not in ("rho", "q"):
         raise ValueError(f"axis must be 'rho' or 'q', not {axis!r}")
+    q, rho, delta = _real(q, "q"), _real(rho, "rho"), _real(delta, "delta")
     rows = []
     for x in grid:
-        x = float(x)
-        if axis == "rho":
-            if x <= 0.0:
-                raise ValueError("spectral radius grid values must be positive")
-            spec_q, threshold = q, 1.0 - 1.0 / (x * x)
-        else:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"rate grid value {x} outside [0, 1]")
-            spec_q, threshold = x, 1.0 - 1.0 / (rho * rho)
+        x = _real(x, "grid")
+        spec_q, threshold = ((q, _radius_threshold(x)) if axis == "rho"
+                             else (x, _radius_threshold(rho)))
         if abs(spec_q - threshold) < 1e-6:
             raise ValueError(f"grid value {x} is within 1e-6 of the critical "
                              "point; sample counts diverge there")
@@ -302,16 +286,16 @@ def load_experiment_config(path) -> ExperimentConfig:
             return plant_from_dict(ref)
         raise ValueError("plant must be a file path or an inline object")
 
-    fields = {"plant": plant, "true_rate": float, "delta": float,
+    fields = {"plant": plant, "true_rate": None, "delta": None,
               "n_grid": None, "trials": None,
               "methods": lambda names: tuple(Method.parse(m) for m in names),
-              "seed": None, "j_req": float, "out": os.fspath}
+              "seed": None, "j_req": None, "out": os.fspath}
     return ExperimentConfig(**_read_config(path, fields, ("plant", "true_rate")))
 
 
 def load_sweep_config(path) -> dict:
     """Read a sweep config (JSON): ``grid``, the optional keywords ``q``,
     ``rho`` and ``delta`` of sweep_sample_complexity, and ``out``."""
-    fields = {"grid": lambda grid: [float(x) for x in grid], "q": float,
-              "rho": float, "delta": float, "out": os.fspath}
+    fields = {"grid": list, "q": None, "rho": None, "delta": None,
+              "out": os.fspath}
     return _read_config(path, fields, ("grid",))

@@ -141,8 +141,6 @@ def interval_from_counts(method: Method, successes: int, n: int,
 def build_interval(trace: ChannelTrace, delta: float,
                    method: Method) -> RateInterval:
     """Interval from a trace's (success count, length); see interval_from_counts."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
     return interval_from_counts(method, trace.successes, len(trace), delta)
 
 

@@ -164,9 +164,14 @@ def stability_threshold(plant: PlantModel) -> float:
     """
     _require_simple(plant, "stability_threshold")
     rho = plant._open_radius
-    if rho == 0.0:
-        return -math.inf
-    return 1.0 - 1.0 / (rho * rho)
+    return -math.inf if rho == 0.0 else _radius_threshold(rho)
+
+
+def _radius_threshold(rho: float) -> float:
+    """1 - 1/rho^2 for a spectral radius rho > 0; -inf once rho^2 underflows."""
+    if not rho > 0.0:
+        raise ValueError(f"spectral radius must be positive, got {rho}")
+    return 1.0 - 1.0 / (rho * rho) if rho * rho > 0.0 else -math.inf
 
 
 def kronecker_stable(plant: PlantModel, q: float) -> bool:
@@ -217,8 +222,7 @@ def critical_rate(plant: PlantModel, j_req: float) -> float | None:
     the target and is never evaluated.
     """
     _require_simple(plant, "critical_rate")
-    if not j_req > 0.0:
-        raise ValueError(f"cost target must be positive, got {j_req}")
+    _check_target(j_req)
     j_perfect = float(np.trace(plant.q_weight @ plant.w_cov))
     if j_perfect > j_req:
         return None
@@ -235,6 +239,11 @@ def critical_rate(plant: PlantModel, j_req: float) -> float | None:
         else:
             lo = mid
     return hi
+
+
+def _check_target(j_req: float) -> None:
+    if not 0.0 < j_req < math.inf:
+        raise ValueError(f"cost target j_req must be positive and finite, got {j_req}")
 
 
 def _scan_general(states: np.ndarray, gains: np.ndarray,
@@ -334,6 +343,14 @@ def _integer(value, key: str) -> int:
             or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """An int or a float; no bool or string."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _matrix_from_json(value, n: int, name: str) -> np.ndarray:

@@ -14,14 +14,14 @@ many stability crossings and between them decide the whole interval.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelTrace
 from .intervals import Method, RateInterval, build_interval
-from .sysmodel import PlantModel, kronecker_stable, lyapunov_cost, stability_threshold
+from .sysmodel import (PlantModel, _check_target, kronecker_stable, lyapunov_cost,
+                       stability_threshold)
 
 
 class Decision(enum.Enum):
@@ -34,30 +34,30 @@ class Decision(enum.Enum):
 class Verdict:
     """Outcome of one decision procedure.
 
-    ``kind`` names the query ("stability", "cost", "general");
-    ``threshold_or_target`` holds the stability threshold or the cost
-    target, and is None for the general test where no single scalar
-    separates the answers.
+    ``threshold`` is the stability threshold of a simple plant and
+    ``j_req`` the target of a cost query; a general stability verdict
+    sets neither, since no single rate separates its answers. The
+    interval records the method and confidence it was built with.
     """
 
     decision: Decision
     interval: RateInterval
-    threshold_or_target: float | None
-    method: Method
-    kind: str
+    threshold: float | None = None
+    j_req: float | None = None
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        key = "j_req" if self.kind == "cost" else "threshold"
+        key, value = (("threshold", self.threshold) if self.j_req is None
+                      else ("j_req", self.j_req))
         return {
             "decision": self.decision.value,
-            "method": self.method.value,
+            "method": self.interval.method.value,
             "delta": self.interval.delta,
             "n": self.interval.n,
             "q_hat": self.interval.q_hat,
             "lo": self.interval.lo,
             "hi": self.interval.hi,
-            key: self.threshold_or_target,
+            key: value,
             "flags": list(self.flags),
         }
 
@@ -75,17 +75,13 @@ def stability_test(plant: PlantModel, trace: ChannelTrace, delta: float,
                    method: Method = Method.HOEFFDING) -> Verdict:
     """Decide mean-square stability of the simple model from samples.
 
-    A contractive open loop (negative threshold) is affirmed outright:
-    every success rate stabilizes it, and the clipped interval could
-    not express that comparison.
+    A contractive open loop has a negative threshold (-inf if nilpotent),
+    below every clipped interval end, so it is affirmed at any rate.
     """
     interval = build_interval(trace, delta, method)
     threshold = stability_threshold(plant)
-    if threshold < 0.0:
-        return Verdict(Decision.AFFIRM, interval, threshold, method,
-                       kind="stability", flags=("trivially stable",))
     return Verdict(decide_stability(threshold, interval), interval, threshold,
-                   method, kind="stability")
+                   flags=("trivially stable",) if threshold < 0.0 else ())
 
 
 def decide_cost(plant: PlantModel, j_req: float,
@@ -100,7 +96,7 @@ def decide_cost(plant: PlantModel, j_req: float,
     if j_lo <= j_req:  # finite by comparison
         return Decision.AFFIRM
     j_hi = lyapunov_cost(plant, interval.hi)
-    if math.isinf(j_hi) or j_hi >= j_req:
+    if j_hi >= j_req:
         return Decision.DENY
     return Decision.UNDETERMINED
 
@@ -108,11 +104,9 @@ def decide_cost(plant: PlantModel, j_req: float,
 def cost_test(plant: PlantModel, trace: ChannelTrace, delta: float,
               j_req: float, method: Method = Method.HOEFFDING) -> Verdict:
     """Decide whether the average quadratic cost meets the target."""
-    if not j_req > 0.0:
-        raise ValueError(f"cost target must be positive, got {j_req}")
+    _check_target(j_req)
     interval = build_interval(trace, delta, method)
-    return Verdict(decide_cost(plant, j_req, interval), interval, j_req,
-                   method, kind="cost")
+    return Verdict(decide_cost(plant, j_req, interval), interval, j_req=j_req)
 
 
 def general_test(plant: PlantModel, trace: ChannelTrace, delta: float,
@@ -133,4 +127,4 @@ def general_test(plant: PlantModel, trace: ChannelTrace, delta: float,
     found = {kronecker_stable(plant, float(q)) for q in points}
     decision = (Decision.UNDETERMINED if len(found) == 2
                 else Decision.AFFIRM if found.pop() else Decision.DENY)
-    return Verdict(decision, interval, None, method, kind="general")
+    return Verdict(decision, interval)

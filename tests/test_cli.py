@@ -97,6 +97,17 @@ def test_sample_size(capsys):
     assert (code, out.strip()) == (0, "36")
 
 
+def test_sample_size_at_extreme_margins(capsys):
+    # Margin 1e-11: the variance-aware count exceeds 2^62 and still prints.
+    code, out, _ = run_cli(capsys, "sample-size", "--q", "0.75",
+                           "--rho", "2.00000000004", "--bound", "bernstein")
+    assert code == 0 and int(out) > 2**62
+    # rho^2 underflows: the threshold is -inf and one sample certifies.
+    code, out, _ = run_cli(capsys, "sample-size", "--q", "0.75",
+                           "--rho", "1e-200", "--bound", "bernstein")
+    assert (code, out.strip()) == (0, "1")
+
+
 def test_sample_size_rejects_critical(capsys):
     code, _, err = run_cli(capsys, "sample-size", "--q", "0.75", "--rho", "2")
     assert code == 1
@@ -166,6 +177,8 @@ def test_input_errors_exit_1(plant_file, capsys):
     ["verify-cost", "--trace", "gen:0.95,4000,3", "--jreq", "nan"],
     ["critical-rate", "--jreq", "nan"],
     ["sample-size", "--q", "0.9", "--rho", "nan"],
+    ["verify-cost", "--trace", "gen:0.9,100,1", "--jreq", "inf"],
+    ["critical-rate", "--jreq", "inf"],
 ])
 def test_nan_targets_exit_1(plant_file, capsys, argv):
     if argv[0] != "sample-size":
@@ -235,14 +248,25 @@ def test_simulate_near_threshold(plant_file, capsys):
                     "methods": ["hoeffding", "exact"]}),
     # json.dumps writes the NaN literal, and json.load reads it back.
     ("experiment", {"plant": "plant.json", "true_rate": 0.9, "j_req": math.nan}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "j_req": math.inf}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "j_req": "inf"}),
+    ("experiment", {"plant": "plant.json", "true_rate": True}),
+    ("experiment", {"plant": "plant.json", "true_rate": "0.9"}),
+    ("experiment", {"plant": "plant.json", "true_rate": 0.9, "delta": "0.01"}),
+    ("sweep", {"grid": ["2", True]}),
+    ("sweep", {"grid": [True]}),
+    ("sweep", {"grid": [2.0], "q": "0.9"}),
+    ("sweep:q", {"grid": [0.9], "rho": -2}),
+    ("sweep:q", {"grid": [0.9], "rho": 0}),
 ])
 def test_malformed_configs_exit_1(tmp_path, capsys, command, doc):
     save_plant(SCALAR_2, tmp_path / "plant.json")
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    if command == "sweep":
-        argv = [command, "--axis", "rho", "--config", str(cfg_path)]
+    if command.startswith("sweep"):
+        axis = command.partition(":")[2] or "rho"
+        argv = ["sweep", "--axis", axis, "--config", str(cfg_path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from linkverify import (MarginSpec, bernstein_sample_size, correctness_bound,
-                        hoeffding_sample_size, low_variance_regime)
+                        hoeffding_sample_size)
 
 
 def spec_for(q, rho, delta):
@@ -125,9 +125,10 @@ def test_bernstein_large_delta_small_n():
     assert n <= 25
 
 
-def test_low_variance_regime():
-    assert low_variance_regime(spec_for(0.999, 2.0, 0.01), 1.0)
-    assert not low_variance_regime(spec_for(0.5, 2.0, 0.01), 0.5)
-    assert low_variance_regime(MarginSpec(1.0, 0.3, 0.01), 1e-9)
-    with pytest.raises(ValueError):
-        low_variance_regime(spec_for(0.9, 2.0, 0.01), 0.0)
+@pytest.mark.parametrize("rho", [2.00000000004, 2.0000000000000004])
+def test_bernstein_sample_size_at_tiny_margins(rho):
+    # Margins of about 1e-11 and 1e-16 need more than 2^62 samples.
+    spec = spec_for(0.75, rho, 0.01)
+    n = bernstein_sample_size(spec)
+    assert bernstein_holds(spec, n) and not bernstein_holds(spec, n - 1)
+    assert n <= hoeffding_sample_size(spec)

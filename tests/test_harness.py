@@ -186,8 +186,9 @@ def test_config_validation():
 
 
 def test_config_rejects_nan_cost_target():
-    with pytest.raises(ValueError, match="j_req"):
-        small_config(j_req=math.nan)
+    for j_req in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="j_req"):
+            small_config(j_req=j_req)
 
 
 def test_config_constructor_checks_integer_fields():

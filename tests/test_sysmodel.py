@@ -95,6 +95,8 @@ def test_threshold_values():
     assert stability_threshold(PlantModel.simple([[0.5]])) < 0.0
     assert stability_threshold(
         PlantModel.simple([[0.0, 1.0], [0.0, 0.0]])) == -math.inf
+    # rho^2 underflows to zero; the threshold is -inf, not a division error.
+    assert stability_threshold(PlantModel.simple([[1e-170]])) == -math.inf
 
 
 def test_threshold_requires_simple_model():
@@ -249,8 +251,9 @@ def test_critical_rate_edges():
 
 
 def test_critical_rate_rejects_nan_target():
-    with pytest.raises(ValueError, match="cost target"):
-        critical_rate(PlantModel.simple([[2.0]]), math.nan)
+    for j_req in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="cost target"):
+            critical_rate(PlantModel.simple([[2.0]]), j_req)
 
 
 def test_critical_rate_contractive_plant():

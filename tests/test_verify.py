@@ -23,7 +23,7 @@ def test_stability_affirm():
     verdict = stability_test(SCALAR_2, trace_of(1800, 2000), 1e-3)
     assert verdict.decision is Decision.AFFIRM
     assert verdict.interval.lo == pytest.approx(0.858443546593, abs=1e-9)
-    assert verdict.threshold_or_target == 0.75
+    assert verdict.threshold == 0.75
 
 
 def test_stability_undetermined_small_sample():
@@ -72,10 +72,10 @@ def test_stability_rejects_general_plant():
 def test_cost_verdicts(successes, expected):
     verdict = cost_test(SCALAR_2, trace_of(successes, 2000), 1e-3, j_req=2.0)
     assert verdict.decision is expected
-    assert verdict.threshold_or_target == 2.0
+    assert verdict.j_req == 2.0
 
 
-@pytest.mark.parametrize("j_req", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("j_req", [math.nan, 0.0, -1.0, math.inf])
 def test_cost_test_rejects_a_target_that_is_not_positive(j_req):
     with pytest.raises(ValueError, match="cost target"):
         cost_test(SCALAR_2, trace_of(1800, 2000), 1e-3, j_req=j_req)
