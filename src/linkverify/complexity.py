@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .intervals import bernstein_tail, hoeffding_tail
+from .intervals import hoeffding_tail
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,32 @@ def correctness_bound(spec: MarginSpec, n: int) -> float:
 
 def hoeffding_sample_size(spec: MarginSpec) -> int:
     """Samples sufficient for a 1-delta correct verdict: ceil(2 log(1/d)/margin^2)."""
-    return math.ceil(2.0 * math.log(1.0 / spec.delta) / (spec.margin ** 2))
+    # ** overflows past a margin of 1.3e154, and from 1e150 up (inf too)
+    # one sample suffices. margin * margin would not overflow, but it rounds
+    # some squares differently from **, which would change huge sizes.
+    margin = min(spec.margin, 1e150)
+    return max(1, math.ceil(2.0 * math.log(1.0 / spec.delta) / margin ** 2))
 
 
-def _first(holds, lo: int, hi: int) -> int:
-    """Smallest k in [lo, hi) where the monotone predicate holds, else hi."""
+def _first(holds, lo: int, hi: int, guess: int | None = None) -> int:
+    """Smallest k in [lo, hi) where the monotone predicate holds, else hi.
+
+    From a guess it gallops (steps 1, 2, 4, ...; Bentley & Yao 1976) to a
+    bracket, then bisects."""
+    # The guess changes only the number of calls. Each probe lies further
+    # from it than the last, so the search ends on any predicate.
+    if guess is not None and lo < hi:
+        g, step = min(max(guess, lo), hi - 1), 1
+        if holds(g):
+            hi = g
+            while g - step >= lo and holds(g - step):
+                hi, step = g - step, 2 * step
+            lo = max(lo, g - step + 1)
+        else:
+            lo = g + 1
+            while g + step < hi and not holds(g + step):
+                lo, step = g + step + 1, 2 * step
+            hi = min(hi, g + step)
     while lo < hi:
         mid = (lo + hi) // 2
         if holds(mid):
@@ -72,10 +93,12 @@ def _first(holds, lo: int, hi: int) -> int:
 
 
 def _bernstein_ok(spec: MarginSpec, n: int) -> bool:
-    eps = spec.margin - math.log(1.0 / spec.delta) / n
-    # An infinite margin (threshold -inf) makes the tail inf/inf = nan,
-    # whose limit is 0: it holds there.
-    return eps > 0.0 and not bernstein_tail(n, eps, spec.q) > spec.delta
+    log_inv = math.log(1.0 / spec.delta)
+    eps = spec.margin - log_inv / n
+    # An infinite margin (threshold -inf) makes the exponent inf/inf =
+    # nan, whose limit is inf: it holds there.
+    return eps > 0.0 and not (n * eps * eps / 2.0
+                              / (spec.q * (1.0 - spec.q) + eps / 3.0)) < log_inv
 
 
 def bernstein_sample_size(spec: MarginSpec) -> int:
@@ -87,8 +110,7 @@ def bernstein_sample_size(spec: MarginSpec) -> int:
     returns the exact minimum.
     """
     log_inv = math.log(1.0 / spec.delta)
-    start = max(1, math.floor(log_inv / spec.margin) + 1)  # first n with eps > 0
-    hi = start
+    start = hi = max(1, math.floor(log_inv / spec.margin) + 1)  # first n with eps > 0
     while not _bernstein_ok(spec, hi):
         hi *= 2
     return _first(lambda n: _bernstein_ok(spec, n), start, hi)

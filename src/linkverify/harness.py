@@ -12,9 +12,9 @@ are non-decreasing in k (the Wald lower end dips below 0 near k = 0,
 but it is convex, so once clipped at 0 it never decreases), and both
 decisions compare them with a fixed threshold or the strictly
 decreasing cost J. So for each (method, n) Deny holds exactly below one
-cutoff and Affirm exactly from a second one up: the engine finds both
-by binary search over the observed counts and tallies a cell with two
-comparisons, keeping 10k-trial runs with exact intervals fast.
+cutoff and Affirm exactly from a second one up. Both searches start at
+the exact method's cutoffs at the critical rate, binomial quantiles, and
+gallop over the observed counts; a cell is then two comparisons.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 from .channel import draw_trace
 from .complexity import (MarginSpec, _first, bernstein_sample_size,
                          correctness_bound, hoeffding_sample_size)
-from .intervals import Method, _check_delta, interval_from_counts
+from .intervals import (_NORMAL, Method, _check_delta, binom_tail_upper,
+                        interval_from_counts)
 from .sysmodel import (PlantModel, _check_target, _integer, _radius_threshold,
                        _real, critical_rate, load_plant, lyapunov_cost,
                        plant_from_dict, stability_threshold)
@@ -139,16 +140,27 @@ def _success_counts(cfg: ExperimentConfig) -> np.ndarray:
     return counts
 
 
-def _tally(cfg: ExperimentConfig, truth: Decision,
-           decide) -> dict[tuple[str, int], Cell]:
+def _tally(cfg: ExperimentConfig, truth: Decision, decide,
+           rate: float) -> dict[tuple[str, int], Cell]:
     counts = _success_counts(cfg)
+    # Each search starts from the exact method's cutoff at the critical
+    # rate: Affirm from the least k with P(Bin(n, rate) >= k) <= delta,
+    # Deny from its mirror for the upper end. Those searches start in turn
+    # from the normal approximation. Clamping the rate into [0, 1] keeps
+    # the tail of a rate outside (0, 1), a sure or an impossible event.
+    z, r = -_NORMAL.inv_cdf(cfg.delta), min(max(rate, 0.0), 1.0)
+    least = lambda n, q: _first(lambda k: binom_tail_upper(n, k, q) <= cfg.delta,
+                                0, n + 1, int(n * q + z * (n * q * (1.0 - q)) ** 0.5) + 1)
+    guesses = [(least(n, r), n + 1 - least(n, 1.0 - r)) for n in cfg.n_grid]
     cells = {}
     for method in cfg.methods:
-        for col, n in zip(counts.T, cfg.n_grid):
+        for col, n, (g_affirm, g_deny) in zip(counts.T, cfg.n_grid, guesses):
             decision = lambda k: decide(interval_from_counts(method, k, n, cfg.delta))
             k_min, k_end = int(col.min()), int(col.max()) + 1
-            k_affirm = _first(lambda k: decision(k) is Decision.AFFIRM, k_min, k_end)
-            k_deny = _first(lambda k: decision(k) is not Decision.DENY, k_min, k_affirm)
+            k_affirm = _first(lambda k: decision(k) is Decision.AFFIRM,
+                              k_min, k_end, g_affirm)
+            k_deny = _first(lambda k: decision(k) is not Decision.DENY,
+                            k_min, k_affirm, g_deny)
             affirm, deny = int((col >= k_affirm).sum()), int((col < k_deny).sum())
             correct, wrong = ((affirm, deny) if truth is Decision.AFFIRM
                               else (deny, affirm))
@@ -168,7 +180,7 @@ def run_stability_experiment(cfg: ExperimentConfig) -> TrialLedger:
     # a bound of exactly one: the test always affirms, correctly.
     spec = MarginSpec(cfg.true_rate, threshold, cfg.delta)
     bound = {n: correctness_bound(spec, n) for n in cfg.n_grid}
-    cells = _tally(cfg, truth, lambda iv: decide_stability(threshold, iv))
+    cells = _tally(cfg, truth, lambda iv: decide_stability(threshold, iv), threshold)
     return TrialLedger(cfg, cells, bound)
 
 
@@ -192,7 +204,7 @@ def run_cost_experiment(cfg: ExperimentConfig) -> TrialLedger:
     bound = {n: correctness_bound(spec, n) for n in cfg.n_grid}
     extras = {"critical_rate": q_star,
               "thm_sample_size": hoeffding_sample_size(spec)}
-    cells = _tally(cfg, truth, lambda iv: decide_cost(cfg.plant, cfg.j_req, iv))
+    cells = _tally(cfg, truth, lambda iv: decide_cost(cfg.plant, cfg.j_req, iv), q_star)
     return TrialLedger(cfg, cells, bound, extras)
 
 

@@ -106,6 +106,10 @@ def test_sample_size_at_extreme_margins(capsys):
     code, out, _ = run_cli(capsys, "sample-size", "--q", "0.75",
                            "--rho", "1e-200", "--bound", "bernstein")
     assert (code, out.strip()) == (0, "1")
+    # Margins of 1e200 and inf: squaring must not overflow, nor give 0.
+    for rho in ("1e-100", "1e-200"):
+        code, out, _ = run_cli(capsys, "sample-size", "--q", "0.75", "--rho", rho)
+        assert (code, out.strip()) == (0, "1")
 
 
 def test_sample_size_rejects_critical(capsys):

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from linkverify import (MarginSpec, bernstein_sample_size, correctness_bound,
                         hoeffding_sample_size)
+from linkverify.complexity import _first
 
 
 def spec_for(q, rho, delta):
@@ -73,6 +75,13 @@ def test_hoeffding_sample_size_frozen():
     assert hoeffding_sample_size(spec_for(0.9, 2.0, 1e-3)) == 615
 
 
+@pytest.mark.parametrize("threshold", [-1e100, -1e200, -math.inf])
+@pytest.mark.parametrize("delta", [1e-3, 0.99])
+def test_hoeffding_sample_size_at_huge_margins(threshold, delta):
+    # margin ** 2 would overflow, and 2 log(1/d)/inf is 0 samples.
+    assert hoeffding_sample_size(MarginSpec(0.75, threshold, delta)) == 1
+
+
 def test_hoeffding_sample_size_is_minimal():
     for q, rho, delta in ((0.9, 2.0, 0.01), (0.8, 1.5, 1e-3), (0.3, 1.1, 0.05)):
         spec = spec_for(q, rho, delta)
@@ -94,7 +103,6 @@ def test_sample_size_margin_scaling():
 
 
 def test_bernstein_sample_size_minimal_random():
-    import numpy as np
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = float(rng.uniform(0.0, 1.0))
@@ -128,7 +136,42 @@ def test_bernstein_large_delta_small_n():
 @pytest.mark.parametrize("rho", [2.00000000004, 2.0000000000000004])
 def test_bernstein_sample_size_at_tiny_margins(rho):
     # Margins of about 1e-11 and 1e-16 need more than 2^62 samples.
-    spec = spec_for(0.75, rho, 0.01)
-    n = bernstein_sample_size(spec)
-    assert bernstein_holds(spec, n) and not bernstein_holds(spec, n - 1)
-    assert n <= hoeffding_sample_size(spec)
+    for delta in (0.01, 1e-3):
+        spec = spec_for(0.75, rho, delta)
+        n = bernstein_sample_size(spec)
+        assert bernstein_holds(spec, n) and not bernstein_holds(spec, n - 1)
+        assert n <= hoeffding_sample_size(spec)
+
+
+def test_first_is_the_same_from_every_guess():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        lo = int(rng.integers(-5, 5))
+        hi = lo + int(rng.integers(0, 40))
+        answer = int(rng.integers(lo, hi + 1))  # hi: the predicate never holds
+        asked = []
+
+        def holds(k):
+            asked.append(k)
+            return k >= answer
+
+        assert _first(holds, lo, hi) == answer
+        for guess in range(lo - 3, hi + 4):
+            assert _first(holds, lo, hi, guess) == answer
+        assert all(lo <= k < hi for k in asked)
+
+
+def test_first_guess_outside_the_range_costs_one_call():
+    asked = []
+    holds = lambda k: asked.append(k) or k >= 0
+    assert _first(holds, 10, 1000, guess=3) == 10
+    assert asked == [10]
+
+
+def test_first_ends_on_a_predicate_that_is_not_monotone():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lo, hi = 0, int(rng.integers(1, 200))
+        flips = rng.random(hi) < 0.5
+        guess = int(rng.integers(lo - 3, hi + 3))
+        assert lo <= _first(lambda k: bool(flips[k]), lo, hi, guess) <= hi

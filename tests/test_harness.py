@@ -12,9 +12,10 @@ from linkverify import (Decision, ExperimentConfig, Method, PlantModel,
                         run_cost_experiment, run_stability_experiment,
                         save_plant, sweep_sample_complexity,
                         write_complexity_csv, write_ledger_csvs)
-from linkverify.harness import _success_counts
+from linkverify import harness
+from linkverify.harness import _success_counts, _tally
 from linkverify.intervals import interval_from_counts
-from linkverify.sysmodel import lyapunov_cost, stability_threshold
+from linkverify.sysmodel import critical_rate, lyapunov_cost, stability_threshold
 from linkverify.verify import decide_cost, decide_stability
 
 SCALAR_2 = PlantModel.simple([[2.0]])
@@ -354,3 +355,60 @@ def test_success_counts_match_per_trial_prefix_sums():
     single = small_config(n_grid=(40,), trials=3)
     assert _success_counts(single).tolist() == [
         [draw_trace(0.9, 40, single.seed ^ t).successes] for t in range(3)]
+
+
+def plain_cells(cfg, truth, decide):
+    """Every count in each column's range decided on its own."""
+    counts = _success_counts(cfg)
+    cells = {}
+    for method in cfg.methods:
+        for col, n in zip(counts.T.tolist(), cfg.n_grid):
+            decided = {k: decide(interval_from_counts(method, k, n, cfg.delta))
+                       for k in range(min(col), max(col) + 1)}
+            tally = dict.fromkeys(Decision, 0)
+            for k in col:
+                tally[decided[k]] += 1
+            affirm, deny = tally[Decision.AFFIRM], tally[Decision.DENY]
+            correct, wrong = ((affirm, deny) if truth is Decision.AFFIRM
+                              else (deny, affirm))
+            cells[(method.value, n)] = harness.Cell(
+                affirm, deny, tally[Decision.UNDETERMINED], correct, wrong)
+    return cells
+
+
+@pytest.mark.parametrize("plant,true_rate,j_req", [
+    (SCALAR_2, 0.9, None), (SCALAR_2, 0.74, None), (CONTRACTIVE, 0.3, None),
+    (NILPOTENT, 0.3, None), (SCALAR_2, 0.9, 2.0)])
+def test_tally_matches_plain_loop_from_any_guess_rate(plant, true_rate, j_req):
+    cfg = small_config(plant=plant, true_rate=true_rate, n_grid=(10, 50, 200),
+                       trials=200, j_req=j_req, methods=ALL_METHODS)
+    if j_req is None:
+        rate = stability_threshold(plant)
+        decide = lambda iv: decide_stability(rate, iv)
+        truth = Decision.AFFIRM if true_rate > rate else Decision.DENY
+    else:
+        rate = critical_rate(plant, j_req)
+        decide = lambda iv: decide_cost(plant, j_req, iv)
+        truth = Decision.AFFIRM
+    expected = plain_cells(cfg, truth, decide)
+    # The guess rate moves only the search's start, never a cell.
+    for guess_rate in (rate, 0.0, 1.0):
+        assert _tally(cfg, truth, decide, guess_rate) == expected, guess_rate
+
+
+def test_near_critical_exact_calls_stay_few(monkeypatch):
+    # Each exact cutoff is guessed from the binomial quantile, so a
+    # 10-size experiment needs about two exact intervals per cutoff.
+    calls = []
+    original = harness.interval_from_counts
+
+    def counted(method, k, n, delta):
+        calls.append(method)
+        return original(method, k, n, delta)
+
+    monkeypatch.setattr(harness, "interval_from_counts", counted)
+    run_stability_experiment(small_config(
+        plant=NEAR_CRITICAL, true_rate=0.5, trials=10_000, seed=555,
+        n_grid=(10, 20, 50, 100, 200, 300, 500, 1000, 1500, 2000),
+        methods=THREE_METHODS))
+    assert calls.count(Method.EXACT_BINOMIAL) <= 40
